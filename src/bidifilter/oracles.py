@@ -1,12 +1,14 @@
 """Deliberately slow reference implementations, for tests only.
 
 Everything here favors obviousness over speed: exact counting by
-scanning, LRU as a python list, Zipf probabilities by direct summation.
+scanning, LRU as a python list, the filtered policy with every space a
+python list, Zipf probabilities by direct summation.
 The test suite checks the fast paths against these.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -54,6 +56,150 @@ def reference_lru_contents(keys: Sequence, capacity: int) -> list:
         if len(cache) > capacity:
             cache.pop(0)
     return cache
+
+
+def reference_filter_outcomes(
+    keys: Sequence,
+    level_capacities: Sequence[int],
+    sketch,
+    window_fraction: float,
+    tie_break: str,
+) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
+    """``(classification, writes)`` of every request under the filtered policy.
+
+    Restates the Window/Veterans L1 over SLRU levels 2..N with every space
+    a python list (index 0 is the eviction end).  ``sketch`` must be fresh
+    and built like the policy's own; it is recorded into as the keys go by.
+    """
+    if len(level_capacities) < 2 or min(level_capacities) < 1:
+        raise ValueError("need at least two levels, each of capacity >= 1")
+    if tie_break not in ("admit", "reject"):
+        raise ValueError("tie_break must be 'admit' or 'reject'")
+    window_cap = round(window_fraction * level_capacities[0])
+    # a space is [capacity, probation, protected, protected_capacity]; the
+    # L1 spaces are plain LRU, which is an SLRU whose protected part is empty
+    window = [window_cap, [], [], 0]
+    veterans = [level_capacities[0] - window_cap, [], [], 0]
+    mains = [[c, [], [], math.ceil(0.8 * c)] for c in level_capacities[1:]]
+    levels = [None, None] + mains  # levels[n] is the space of level n >= 2
+    top = veterans if veterans[0] > 0 else window  # where L2 hits promote to
+
+    def size(space):
+        return len(space[1]) + len(space[2])
+
+    def full(space):
+        return size(space) >= space[0]
+
+    def victim(space):
+        return space[1][0] if space[1] else space[2][0]
+
+    def holds(space, key):
+        return key in space[1] or key in space[2]
+
+    def insert(space, key):
+        space[1].append(key)
+
+    def remove(space, key):
+        (space[1] if key in space[1] else space[2]).remove(key)
+
+    def touch(space, key):
+        if space[3] == 0:  # plain LRU
+            space[1].remove(key)
+            space[1].append(key)
+        elif key in space[2]:
+            space[2].remove(key)
+            space[2].append(key)
+        else:
+            space[1].remove(key)
+            space[2].append(key)
+            if len(space[2]) > space[3]:
+                space[1].append(space[2].pop(0))
+
+    def wins(candidate, incumbent):
+        ce, ve = sketch.estimate(candidate), sketch.estimate(incumbent)
+        return ce > ve if tie_break == "reject" else ce >= ve
+
+    def admit_down(candidate, level, writes):
+        # filtered admission at `level`; each displaced victim tries the
+        # next level down, a loser or the bottom victim leaves the cache
+        for n in range(level, len(levels)):
+            space = levels[n]
+            if not full(space):
+                insert(space, candidate)
+                writes.append((n, 1))
+                return
+            out = victim(space)
+            if not wins(candidate, out):
+                return
+            remove(space, out)
+            insert(space, candidate)
+            writes.append((n, 1))
+            candidate = out
+
+    outcomes = []
+    for key in keys:
+        sketch.record(key)
+        writes: list = []
+        if holds(window, key):
+            touch(window, key)
+            outcomes.append(("hit_l1_window", ()))
+            continue
+        if holds(veterans, key):
+            touch(veterans, key)
+            outcomes.append(("hit_l1_veterans", ()))
+            continue
+        level = next((n for n in range(2, len(levels)) if holds(levels[n], key)), None)
+        if level is not None:
+            src = levels[level]
+            dst, dst_level = (top, 1) if level == 2 else (levels[level - 1], level - 1)
+            if not full(dst):
+                remove(src, key)
+                insert(dst, key)
+                writes.append((dst_level, 1))
+            else:
+                out = victim(dst)
+                if wins(key, out):
+                    remove(src, key)
+                    remove(dst, out)
+                    insert(dst, key)
+                    insert(src, out)  # into the slot the hit vacated
+                    writes += [(dst_level, 1), (level, 1)]
+                else:
+                    touch(src, key)
+            outcomes.append((f"hit_l{level}", tuple(writes)))
+            continue
+        if window[0] > 0:
+            out = victim(window) if full(window) else None
+            if out is not None:
+                remove(window, out)
+            insert(window, key)
+            writes.append((1, 1))
+            if out is not None:
+                admit_down(out, 2, writes)
+        elif not full(veterans):
+            insert(veterans, key)
+            writes.append((1, 1))
+        elif wins(key, victim(veterans)):
+            out = victim(veterans)
+            remove(veterans, out)
+            insert(veterans, key)
+            writes.append((1, 1))
+            # the displaced veteran enters L2 unfiltered; what it displaces
+            # there is filtered further down
+            l2 = levels[2]
+            if full(l2):
+                pushed = victim(l2)
+                remove(l2, pushed)
+                insert(l2, out)
+                writes.append((2, 1))
+                admit_down(pushed, 3, writes)
+            else:
+                insert(l2, out)
+                writes.append((2, 1))
+        else:
+            admit_down(key, 2, writes)
+        outcomes.append(("miss", tuple(writes)))
+    return outcomes
 
 
 def exact_zipf_probabilities(ground_set: int, skew: float) -> list[float]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import math
 import pytest
 
 from bidifilter import (
+    KINDS,
     RESULT_FIELDS,
     LatencyParams,
     PolicySpec,
@@ -235,3 +237,26 @@ def test_csv_and_jsonl_agree_on_values():
                 assert math.isclose(float(cv), jv, rel_tol=0, abs_tol=0)
             else:
                 assert cv == str(jv)
+
+def test_sweep_oracle_csv_digest():
+    # the equality oracle for refactors: every kind at 2 and 3 levels with
+    # both tie-breaks and two window fractions, as one CSV, pinned by hash
+    buf = io.StringIO()
+    for n_levels in (2, 3):
+        for tie in ("admit", "reject"):
+            for wf in (0.0, 0.5):
+                kinds = [k for k in KINDS
+                         if n_levels == 2 or k != "BiDiFilterUnited"]
+                sweep = SweepSpec(
+                    trace_source=SyntheticSpec(5_000, 1_000, 0.8, 0.2, rng_seed=7),
+                    policies=tuple(PolicySpec(k, (1, 1), window_fraction=wf,
+                                              tie_break=tie) for k in kinds),
+                    l2_size_percents=(0.05, 0.2),
+                    l1_ratios=(0.2,),
+                    latency=LatencyParams((100.0, 200_000.0, 400_000.0)),
+                    master_seed=7,
+                    n_levels=n_levels,
+                )
+                write_rows_csv(run_sweep(sweep), buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "473b3f39c355a4ee49d27a04d46fbdcae80206fe38cdac531e9b7669c7b4e7e5"

@@ -4,10 +4,12 @@ from collections import OrderedDict
 
 import pytest
 
+from bidifilter import FrequencySketch, SketchConfig
 from bidifilter.oracles import (
     exact_count,
     exact_counts,
     exact_zipf_probabilities,
+    reference_filter_outcomes,
     reference_lru_contents,
     reference_lru_hits,
 )
@@ -80,3 +82,23 @@ def test_zipf_probabilities_properties():
     assert exact_zipf_probabilities(4, 0.0) == [0.25] * 4
     with pytest.raises(ValueError):
         exact_zipf_probabilities(0, 1.0)
+
+def test_filter_reference_hand_walkthrough():
+    # window 1 / veterans 1 / L2 2: the hand trace the fast policy's own
+    # walkthrough test freezes
+    cfg = SketchConfig(sample_size=40, tracked_capacity=4, width=16384)
+    outcomes = reference_filter_outcomes(
+        ["a", "b", "a", "c", "c", "c"], (2, 2), FrequencySketch(cfg, seed=7),
+        0.5, "admit")
+    assert outcomes == [
+        ("miss", ((1, 1),)),
+        ("miss", ((1, 1), (2, 1))),      # b displaces a; a warm-fills L2
+        ("hit_l2", ((1, 1),)),           # a promotes into empty veterans
+        ("miss", ((1, 1), (2, 1))),      # c displaces b into the freed slot
+        ("hit_l1_window", ()),
+        ("hit_l1_window", ()),
+    ]
+    with pytest.raises(ValueError):
+        reference_filter_outcomes([], (4,), FrequencySketch(cfg), 0.5, "admit")
+    with pytest.raises(ValueError):
+        reference_filter_outcomes([], (4, 4), FrequencySketch(cfg), 0.5, "maybe")

@@ -20,7 +20,8 @@ from bidifilter import (
     hit_at_level,
     make_policy,
 )
-from bidifilter.oracles import reference_lru_hits
+from bidifilter.oracles import reference_filter_outcomes, reference_lru_hits
+from bidifilter.policies import default_sketch
 
 
 def wide_sketch(total_capacity, seed=11):
@@ -256,6 +257,30 @@ def test_cascade_n2_matches_bidifilter_exactly():
         assert list(a.window.keys()) == list(b.window.keys())
         assert list(a.veterans.keys()) == list(b.veterans.keys())
         assert list(a.l2.keys()) == list(b.mains[0].keys())
+
+
+def test_filtered_kinds_match_list_reference():
+    # every request of both filtered kinds, at 2-4 levels, against the
+    # list-based reference fed an identically seeded sketch
+    rnd = random.Random(77)
+    cases = [("BiDiFilter", n, wf, tie)
+             for n in (2, 3, 4)
+             for wf in (0.0, 0.25, 0.5, 1.0)
+             for tie in ("admit", "reject")]
+    cases += [("BiDiFilterUnited", 2, 1.0, tie) for tie in ("admit", "reject")]
+    for kind, n_levels, wf, tie in cases * 2:
+        caps = tuple(rnd.randint(1, 8) for _ in range(n_levels))
+        seed = rnd.randint(0, 2**32)
+        span = 3 * sum(caps)
+        keys = [rnd.randint(0, span if rnd.random() < 0.5 else span // 4)
+                for _ in range(1500)]
+        if rnd.random() < 0.3:
+            keys = [f"k{k}" for k in keys]
+        pol = make_policy(PolicySpec(kind, caps, window_fraction=wf,
+                                     tie_break=tie, rng_seed=seed))
+        fast = run(pol, keys)
+        ref = reference_filter_outcomes(keys, caps, default_sketch(caps, seed), wf, tie)
+        assert fast == ref, (kind, caps, wf, tie)
 
 
 def test_admission_soundness_decision_log():
