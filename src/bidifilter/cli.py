@@ -5,21 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (
-    SweepSpec,
-    level_capacities_for,
-    open_trace,
-    run_single,
-    run_sweep,
-    trace_label,
-    write_rows,
-    write_rows_csv,
-    write_rows_jsonl,
-)
+from .harness import SweepSpec, run_sweep, write_rows, write_rows_csv, write_rows_jsonl
 from .metrics import LatencyParams
 from .policies import KINDS, PolicySpec
-from .sketch import derive_seed
-from .workload import SyntheticSpec, count_uniques
+from .workload import SyntheticSpec
 
 
 def _parse_synthetic(text: str, seed: int) -> SyntheticSpec:
@@ -143,45 +132,34 @@ def _emit(rows, args) -> None:
         write_rows(rows, args.out, args.format)
 
 
-def _cmd_run(args) -> int:
-    source = _trace_source(args)
-    latency = _parse_latency(args.latency) if args.latency else LatencyParams()
-    uniques, accesses = count_uniques(open_trace(source))
-    if accesses == 0:
-        raise ValueError("trace is empty")
-    caps = level_capacities_for(uniques, args.l2_pct, args.l1_ratio, args.levels)
-    spec = PolicySpec(
-        kind=args.policy,
-        level_capacities=caps,
-        window_fraction=args.window,
-        tie_break=args.tie,
-        promote_prob=args.promote_p,
-        demote_prob=args.promote_q,
-        rng_seed=derive_seed(args.seed, 0),
+def _sweep_spec(args, kinds, l2_size_percents, l1_ratios) -> SweepSpec:
+    return SweepSpec(
+        trace_source=_trace_source(args),
+        policies=tuple(_template(kind, args) for kind in kinds),
+        l2_size_percents=l2_size_percents,
+        l1_ratios=l1_ratios,
+        latency=_parse_latency(args.latency) if args.latency else LatencyParams(),
+        master_seed=args.seed,
+        n_levels=args.levels,
     )
-    row = run_single(spec, open_trace(source), latency, trace_id=trace_label(source))
-    _emit([row], args)
+
+
+def _cmd_run(args) -> int:
+    # a one-cell sweep: same geometry resolution, seed and checks
+    sweep = _sweep_spec(args, (args.policy,), (args.l2_pct,), (args.l1_ratio,))
+    _emit(run_sweep(sweep), args)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    source = _trace_source(args)
-    latency = _parse_latency(args.latency) if args.latency else LatencyParams()
     kinds = tuple(k.strip() for k in args.policy.split(","))
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown policy: {kind!r}")
-    sweep = SweepSpec(
-        trace_source=source,
-        policies=tuple(_template(kind, args) for kind in kinds),
-        l2_size_percents=_parse_floats(args.l2_pct),
-        l1_ratios=_parse_floats(args.l1_ratio),
-        latency=latency,
-        master_seed=args.seed,
-        n_levels=args.levels,
+    sweep = _sweep_spec(
+        args, kinds, _parse_floats(args.l2_pct), _parse_floats(args.l1_ratio)
     )
-    rows = run_sweep(sweep, jobs=args.jobs)
-    _emit(rows, args)
+    _emit(run_sweep(sweep, jobs=args.jobs), args)
     return 0
 
 

@@ -70,6 +70,8 @@ def run_single(
 ) -> ResultRow:
     """Replay one trace through one freshly built policy instance."""
     latency = latency or LatencyParams()
+    if len(latency.level_ns) < policy_spec.n_levels:
+        raise ValueError("latency params cover fewer levels than the policy")
     policy = make_policy(policy_spec)
     stats = SimStats(policy.n_levels)
     for key in trace:

@@ -18,6 +18,13 @@ writes.
 Every request is recorded in the sketch before any decision is made.
 The cache is exclusive: a key lives in at most one space at a time.
 
+One engine, ``CascadeFilter``, runs this scheme over any number of
+levels (a filter between every adjacent pair).  ``BiDiFilter`` is its
+two-level shorthand, with the lower level named ``l2``;
+``BiDiFilterUnited`` is the two-level shorthand whose window takes all
+of L1 (``window_fraction=1``).  ``oracles.reference_filter_outcomes``
+restates the scheme with python lists as the tests' reference.
+
 Writes are accounted per level: an insert into a level coming from
 outside that level costs one write; recency updates within a level are
 free.  ``AccessOutcome`` carries the request classification plus the
@@ -116,25 +123,15 @@ def default_sketch(level_capacities, rng_seed: int) -> FrequencySketch:
 def make_policy(spec: PolicySpec):
     """Build a policy object from its spec."""
     caps = spec.level_capacities
+    if spec.kind == "BiDiFilterUnited":
+        return BiDiFilterUnited(caps, tie_break=spec.tie_break, rng_seed=spec.rng_seed)
     if spec.kind == "BiDiFilter":
-        if len(caps) == 2:
-            return BiDiFilter(
-                caps,
-                window_fraction=spec.window_fraction,
-                tie_break=spec.tie_break,
-                rng_seed=spec.rng_seed,
-            )
-        return CascadeFilter(
+        cls = BiDiFilter if len(caps) == 2 else CascadeFilter
+        return cls(
             caps,
             window_fraction=spec.window_fraction,
             tie_break=spec.tie_break,
             rng_seed=spec.rng_seed,
-        )
-    if spec.kind == "BiDiFilterUnited":
-        if len(caps) != 2:
-            raise ValueError("BiDiFilterUnited supports exactly two levels")
-        return BiDiFilterUnited(
-            caps, tie_break=spec.tie_break, rng_seed=spec.rng_seed
         )
     if spec.kind == "Demote":
         return Demote(caps)
@@ -150,246 +147,17 @@ def make_policy(spec: PolicySpec):
     raise ValueError(f"unknown policy kind: {spec.kind!r}")
 
 
-class _FilteredMixin:
-    """Shared admission-filter plumbing for the sketch-based policies."""
+class CascadeFilter:
+    """The filtered policy: a Window/Veterans L1 over SLRU levels 2..N.
 
-    sketch: FrequencySketch
-    tie_break: str
-    decision_log: list | None
-
-    def _init_filter(self, level_capacities, tie_break, rng_seed, sketch):
-        if tie_break not in ("admit", "reject"):
-            raise ValueError("tie_break must be 'admit' or 'reject'")
-        self.tie_break = tie_break
-        self._strict = tie_break == "reject"
-        self.sketch = sketch or default_sketch(level_capacities, rng_seed)
-        # when set to a list, every filter evaluation is appended as
-        # (candidate, victim, candidate_est, victim_est, admitted)
-        self.decision_log = None
-
-    def _wins(self, candidate, victim) -> bool:
-        ce = self.sketch.estimate(candidate)
-        ve = self.sketch.estimate(victim)
-        admitted = ce > ve if self._strict else ce >= ve
-        if self.decision_log is not None:
-            self.decision_log.append((candidate, victim, ce, ve, admitted))
-        return admitted
-
-
-def _split_l1(l1_capacity: int, window_fraction: float) -> tuple[int, int]:
-    window = round(window_fraction * l1_capacity)
-    return window, l1_capacity - window
-
-
-class BiDiFilter(_FilteredMixin):
-    """Two-level Window/Veterans scheme with bidirectional filtering."""
-
-    name = "BiDiFilter"
-
-    def __init__(
-        self,
-        level_capacities,
-        *,
-        window_fraction: float = 0.5,
-        tie_break: str = "admit",
-        rng_seed: int = 0,
-        sketch: FrequencySketch | None = None,
-    ):
-        l1, l2 = level_capacities
-        if l1 < 1 or l2 < 1:
-            raise ValueError("level capacities must be >= 1")
-        if not 0.0 <= window_fraction <= 1.0:
-            raise ValueError("window_fraction must be in [0, 1]")
-        wcap, vcap = _split_l1(l1, window_fraction)
-        self.window_fraction = window_fraction
-        self.window = LruSpace(wcap)
-        self.veterans = LruSpace(vcap)
-        self.l2 = SlruSpace(l2)
-        self.n_levels = 2
-        self._init_filter(level_capacities, tie_break, rng_seed, sketch)
-        # membership reads bypass the space wrappers in the hot loop
-        self._win_od = self.window._od
-        self._vet_od = self.veterans._od
-        self._l2_prob = self.l2._probation
-        self._l2_prot = self.l2._protected
-
-    def handle(self, key) -> AccessOutcome:
-        self.sketch.record(key)
-        if key in self._win_od:
-            self._win_od.move_to_end(key)
-            return _HIT_WINDOW
-        if key in self._vet_od:
-            self._vet_od.move_to_end(key)
-            return _HIT_VETERANS
-        if key in self._l2_prob or key in self._l2_prot:
-            return self._on_l2_hit(key)
-        return self._on_miss(key)
-
-    def _on_miss(self, key) -> AccessOutcome:
-        writes = []
-        if self.window.capacity > 0:
-            candidate = None
-            if len(self.window) >= self.window.capacity:
-                candidate = self.window.peek_victim()
-                self.window.remove(candidate)
-            self.window.insert(key)
-            writes.append((1, 1))
-            if candidate is not None:
-                self._admit_to_l2(candidate, writes)
-        else:
-            # no window: the missed key itself competes for Veterans
-            if len(self.veterans) < self.veterans.capacity:
-                self.veterans.insert(key)
-                writes.append((1, 1))
-            else:
-                victim = self.veterans.peek_victim()
-                if self._wins(key, victim):
-                    self.veterans.remove(victim)
-                    self.veterans.insert(key)
-                    writes.append((1, 1))
-                    # displaced veteran demotes without a filter check
-                    if len(self.l2) >= self.l2.capacity:
-                        self.l2.remove(self.l2.peek_victim())
-                    self.l2.insert(victim)
-                    writes.append((2, 1))
-                else:
-                    self._admit_to_l2(key, writes)
-        return AccessOutcome(MISS, tuple(writes))
-
-    def _admit_to_l2(self, candidate, writes) -> None:
-        if len(self.l2) < self.l2.capacity:
-            self.l2.insert(candidate)
-            writes.append((2, 1))
-            return
-        victim = self.l2.peek_victim()
-        if self._wins(candidate, victim):
-            self.l2.remove(victim)
-            self.l2.insert(candidate)
-            writes.append((2, 1))
-        # losing candidates leave the cache entirely
-
-    def _on_l2_hit(self, key) -> AccessOutcome:
-        target = self.veterans if self.veterans.capacity > 0 else self.window
-        writes = []
-        if len(target) < target.capacity:
-            self.l2.remove(key)
-            target.insert(key)
-            writes.append((1, 1))
-        else:
-            victim = target.peek_victim()
-            if self._wins(key, victim):
-                self.l2.remove(key)
-                target.remove(victim)
-                target.insert(key)
-                writes.append((1, 1))
-                # the hit freed an L2 slot, so the displaced L1 victim
-                # lands there without anyone being evicted
-                self.l2.insert(victim)
-                writes.append((2, 1))
-            else:
-                self.l2.touch(key)
-        return AccessOutcome(HIT_L2, tuple(writes))
-
-    def check_invariants(self) -> None:
-        self.window.check()
-        self.veterans.check()
-        self.l2.check()
-        spaces = (self.window, self.veterans, self.l2)
-        union = set()
-        total = 0
-        for sp in spaces:
-            union.update(sp.keys())
-            total += len(sp)
-        assert len(union) == total, "a key occupies more than one space"
-
-
-class BiDiFilterUnited(_FilteredMixin):
-    """Variant with an undivided LRU L1; filtering still guards both moves."""
-
-    name = "BiDiFilterUnited"
-
-    def __init__(
-        self,
-        level_capacities,
-        *,
-        tie_break: str = "admit",
-        rng_seed: int = 0,
-        sketch: FrequencySketch | None = None,
-    ):
-        l1, l2 = level_capacities
-        if l1 < 1 or l2 < 1:
-            raise ValueError("level capacities must be >= 1")
-        self.l1 = LruSpace(l1)
-        self.l2 = SlruSpace(l2)
-        self.n_levels = 2
-        self._init_filter(level_capacities, tie_break, rng_seed, sketch)
-
-    def handle(self, key) -> AccessOutcome:
-        self.sketch.record(key)
-        if key in self.l1:
-            self.l1.touch(key)
-            return _HIT_WINDOW
-        if key in self.l2:
-            return self._on_l2_hit(key)
-        writes = []
-        candidate = None
-        if len(self.l1) >= self.l1.capacity:
-            candidate = self.l1.peek_victim()
-            self.l1.remove(candidate)
-        self.l1.insert(key)
-        writes.append((1, 1))
-        if candidate is not None:
-            self._admit_to_l2(candidate, writes)
-        return AccessOutcome(MISS, tuple(writes))
-
-    def _admit_to_l2(self, candidate, writes) -> None:
-        if len(self.l2) < self.l2.capacity:
-            self.l2.insert(candidate)
-            writes.append((2, 1))
-            return
-        victim = self.l2.peek_victim()
-        if self._wins(candidate, victim):
-            self.l2.remove(victim)
-            self.l2.insert(candidate)
-            writes.append((2, 1))
-
-    def _on_l2_hit(self, key) -> AccessOutcome:
-        writes = []
-        if len(self.l1) < self.l1.capacity:
-            self.l2.remove(key)
-            self.l1.insert(key)
-            writes.append((1, 1))
-        else:
-            victim = self.l1.peek_victim()
-            if self._wins(key, victim):
-                self.l2.remove(key)
-                self.l1.remove(victim)
-                self.l1.insert(key)
-                writes.append((1, 1))
-                self.l2.insert(victim)  # slot freed by the promotion
-                writes.append((2, 1))
-            else:
-                self.l2.touch(key)
-        return AccessOutcome(HIT_L2, tuple(writes))
-
-    def check_invariants(self) -> None:
-        self.l1.check()
-        self.l2.check()
-        union = set(self.l1.keys()) | set(self.l2.keys())
-        assert len(union) == len(self.l1) + len(self.l2)
-
-
-class CascadeFilter(_FilteredMixin):
-    """N-level generalization: a filter sits between every adjacent pair.
-
-    Misses insert at the top; each admitted candidate's displaced victim
-    becomes the candidate at the next level down, and the bottom level's
-    displaced victim leaves the cache.  A hit at level i is a filtered
-    promotion into level i-1 whose displaced victim demotes into the slot
-    the hit just vacated.
+    A filter sits between every adjacent pair of levels.  Misses insert
+    at the top; each admitted candidate's displaced victim becomes the
+    candidate at the next level down, and the bottom level's displaced
+    victim leaves the cache.  A hit at level i is a filtered promotion
+    into level i-1 (Veterans, or the window when there are no Veterans,
+    for i = 2) whose displaced victim demotes into the slot the hit just
+    vacated.
     """
-
-    name = "BiDiFilter"
 
     def __init__(
         self,
@@ -407,29 +175,51 @@ class CascadeFilter(_FilteredMixin):
             raise ValueError("level capacities must be >= 1")
         if not 0.0 <= window_fraction <= 1.0:
             raise ValueError("window_fraction must be in [0, 1]")
-        wcap, vcap = _split_l1(caps[0], window_fraction)
+        if tie_break not in ("admit", "reject"):
+            raise ValueError("tie_break must be 'admit' or 'reject'")
+        window = round(window_fraction * caps[0])
         self.window_fraction = window_fraction
-        self.window = LruSpace(wcap)
-        self.veterans = LruSpace(vcap)
+        self.window = LruSpace(window)
+        self.veterans = LruSpace(caps[0] - window)
         self.mains = tuple(SlruSpace(c) for c in caps[1:])  # levels 2..N
         self.n_levels = len(caps)
-        self._init_filter(caps, tie_break, rng_seed, sketch)
-
-    def _space_at(self, level: int):
-        return self.mains[level - 2]
+        self.tie_break = tie_break
+        self._strict = tie_break == "reject"
+        self.sketch = sketch or default_sketch(caps, rng_seed)
+        # when set to a list, every filter evaluation is appended as
+        # (candidate, victim, candidate_est, victim_est, admitted)
+        self.decision_log = None
+        # L2 hits promote into Veterans, or into the window if there are none
+        self._top = self.veterans if self.veterans.capacity > 0 else self.window
+        # membership reads bypass the space wrappers in the hot loop
+        self._win_od = self.window._od
+        self._vet_od = self.veterans._od
+        self._l2_prob = self.mains[0]._probation
+        self._l2_prot = self.mains[0]._protected
+        self._deeper = tuple(enumerate(self.mains[1:], start=3))
 
     def handle(self, key) -> AccessOutcome:
         self.sketch.record(key)
-        if key in self.window:
-            self.window.touch(key)
+        if key in self._win_od:
+            self._win_od.move_to_end(key)
             return _HIT_WINDOW
-        if key in self.veterans:
-            self.veterans.touch(key)
+        if key in self._vet_od:
+            self._vet_od.move_to_end(key)
             return _HIT_VETERANS
-        for level in range(2, self.n_levels + 1):
-            if key in self._space_at(level):
+        if key in self._l2_prob or key in self._l2_prot:
+            return self._on_deep_hit(key, 2)
+        for level, space in self._deeper:
+            if key in space:
                 return self._on_deep_hit(key, level)
         return self._on_miss(key)
+
+    def _wins(self, candidate, victim) -> bool:
+        ce = self.sketch.estimate(candidate)
+        ve = self.sketch.estimate(victim)
+        admitted = ce > ve if self._strict else ce >= ve
+        if self.decision_log is not None:
+            self.decision_log.append((candidate, victim, ce, ve, admitted))
+        return admitted
 
     def _on_miss(self, key) -> AccessOutcome:
         writes = []
@@ -443,6 +233,7 @@ class CascadeFilter(_FilteredMixin):
             if candidate is not None:
                 self._cascade_admit(candidate, 2, writes)
         else:
+            # no window: the missed key itself competes for Veterans
             if len(self.veterans) < self.veterans.capacity:
                 self.veterans.insert(key)
                 writes.append((1, 1))
@@ -460,7 +251,7 @@ class CascadeFilter(_FilteredMixin):
     def _cascade_admit(self, candidate, level, writes) -> None:
         # filtered admission at `level`; displaced victims continue down
         while level <= self.n_levels:
-            space = self._space_at(level)
+            space = self.mains[level - 2]
             if len(space) < space.capacity:
                 space.insert(candidate)
                 writes.append((level, 1))
@@ -478,7 +269,7 @@ class CascadeFilter(_FilteredMixin):
     def _force_demote(self, item, level, writes) -> None:
         # unconditional demotion (displaced Veterans victim); whatever it
         # displaces gets a fair filtered run further down
-        space = self._space_at(level)
+        space = self.mains[level - 2]
         if len(space) < space.capacity:
             space.insert(item)
             writes.append((level, 1))
@@ -490,25 +281,20 @@ class CascadeFilter(_FilteredMixin):
         self._cascade_admit(victim, level + 1, writes)
 
     def _on_deep_hit(self, key, level: int) -> AccessOutcome:
-        src = self._space_at(level)
-        if level == 2:
-            target = self.veterans if self.veterans.capacity > 0 else self.window
-            target_level = 1
-        else:
-            target = self._space_at(level - 1)
-            target_level = level - 1
+        src = self.mains[level - 2]
+        target = self._top if level == 2 else self.mains[level - 3]
         writes = []
         if len(target) < target.capacity:
             src.remove(key)
             target.insert(key)
-            writes.append((target_level, 1))
+            writes.append((level - 1, 1))
         else:
             victim = target.peek_victim()
             if self._wins(key, victim):
                 src.remove(key)
                 target.remove(victim)
                 target.insert(key)
-                writes.append((target_level, 1))
+                writes.append((level - 1, 1))
                 src.insert(victim)  # slot freed by the promotion
                 writes.append((level, 1))
             else:
@@ -525,6 +311,24 @@ class CascadeFilter(_FilteredMixin):
             union.update(sp.keys())
             total += len(sp)
         assert len(union) == total, "a key occupies more than one space"
+
+
+class BiDiFilter(CascadeFilter):
+    """The filtered policy at exactly two levels; ``l2`` names the lower one."""
+
+    def __init__(self, level_capacities, **kwargs):
+        caps = tuple(level_capacities)
+        if len(caps) != 2:
+            raise ValueError(f"{type(self).__name__} supports exactly two levels")
+        super().__init__(caps, **kwargs)
+        self.l2 = self.mains[0]
+
+
+class BiDiFilterUnited(BiDiFilter):
+    """Two levels with an undivided LRU L1: the window takes all of it."""
+
+    def __init__(self, level_capacities, **kwargs):
+        super().__init__(level_capacities, window_fraction=1.0, **kwargs)
 
 
 class _ChainPolicy:
@@ -572,8 +376,6 @@ class Demote(_ChainPolicy):
     stack of the combined capacity.
     """
 
-    name = "Demote"
-
     def handle(self, key) -> AccessOutcome:
         for i, space in enumerate(self.levels):
             if key in space:
@@ -591,8 +393,6 @@ class Demote(_ChainPolicy):
 
 class NaiveLRU(_ChainPolicy):
     """Independent LRU levels: hits refresh in place and never move up."""
-
-    name = "NaiveLRU"
 
     def handle(self, key) -> AccessOutcome:
         for i, space in enumerate(self.levels):
@@ -616,8 +416,6 @@ class Promote(_ChainPolicy):
     Draw order per request: one draw for the promotion decision on a
     deep hit, then one draw per demotion hop, top down.
     """
-
-    name = "Promote"
 
     def __init__(self, level_capacities, *, promote_prob=0.5, demote_prob=0.5, rng_seed=0):
         super().__init__(level_capacities)

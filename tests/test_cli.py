@@ -145,6 +145,13 @@ def test_run_deep_hierarchy_needs_latency(capsys):
     assert code == 0
 
 
+def test_run_rejects_out_of_range_geometry(capsys):
+    for knob, value in (("--l2-pct", "0"), ("--l2-pct", "1.5"), ("--l1-ratio", "1.0")):
+        code, out, err = run_cli(capsys, "run", "--synthetic", SYN, knob, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+
 def test_sweep_grid_to_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--synthetic", SYN,

@@ -65,6 +65,17 @@ def test_run_single_invariant_mode_matches_fast_mode():
     assert a == b
 
 
+def test_run_single_checks_latency_depth_before_replay():
+    # the default latency params cover two levels; a 3-level spec must be
+    # refused before the first key is read
+    def untouchable():
+        raise AssertionError("trace was read before the spec was checked")
+        yield
+
+    with pytest.raises(ValueError, match="latency"):
+        run_single(PolicySpec("BiDiFilter", (2, 4, 8)), untouchable())
+
+
 def test_trace_label_forms():
     assert (
         trace_label(SyntheticSpec(length=100, ground_set=9, skew=0.75, recency=0.5, rng_seed=4))
