@@ -1,8 +1,9 @@
 """Deliberately slow reference implementations, for tests only.
 
 Everything here favors obviousness over speed: exact counting by
-scanning, LRU as a python list, the filtered policy with every space a
-python list, Zipf probabilities by direct summation.
+scanning, LRU as a python list, the filtered policy and the chained-LRU
+baselines with every space a python list, Zipf probabilities by direct
+summation.
 The test suite checks the fast paths against these.
 """
 
@@ -199,6 +200,58 @@ def reference_filter_outcomes(
         else:
             admit_down(key, 2, writes)
         outcomes.append(("miss", tuple(writes)))
+    return outcomes
+
+
+def reference_chain_outcomes(
+    keys: Sequence,
+    level_capacities: Sequence[int],
+    promote_prob: float,
+    demote_prob: float,
+    rng,
+) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
+    """``(classification, writes)`` of every request under the chained-LRU
+    baselines (Promote; Demote is p = q = 1, NaiveLRU is p = 0, q = 1).
+
+    Every level is a python list (index 0 is the eviction end).  ``rng``
+    must be a fresh ``random.Random`` seeded like the policy's own.  It is
+    drawn from on every decision, even a forced one: once for the
+    promotion on a hit below L1, then once per demotion hop, top down.
+    """
+    if len(level_capacities) < 2 or min(level_capacities) < 1:
+        raise ValueError("need at least two levels, each of capacity >= 1")
+    levels: list[list] = [[] for _ in level_capacities]
+
+    def push_top(item, writes):
+        # insert at L1; each overflow victim moves one level down if the
+        # demotion draw lets it, else it leaves the cache
+        for n, (level, cap) in enumerate(zip(levels, level_capacities), start=1):
+            out = level.pop(0) if len(level) >= cap else None
+            level.append(item)
+            writes.append((n, 1))
+            if out is None or rng.random() >= demote_prob:
+                return
+            item = out
+
+    outcomes = []
+    for key in keys:
+        found = next((n for n, level in enumerate(levels) if key in level), None)
+        writes: list = []
+        if found == 0:
+            levels[0].remove(key)
+            levels[0].append(key)
+            outcomes.append(("hit_l1_window", ()))
+            continue
+        if found is None:
+            push_top(key, writes)
+            outcomes.append(("miss", tuple(writes)))
+            continue
+        levels[found].remove(key)
+        if rng.random() < promote_prob:
+            push_top(key, writes)
+        else:
+            levels[found].append(key)  # refreshed in place
+        outcomes.append((f"hit_l{found + 1}", tuple(writes)))
     return outcomes
 
 

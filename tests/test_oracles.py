@@ -9,6 +9,7 @@ from bidifilter.oracles import (
     exact_count,
     exact_counts,
     exact_zipf_probabilities,
+    reference_chain_outcomes,
     reference_filter_outcomes,
     reference_lru_contents,
     reference_lru_hits,
@@ -102,3 +103,29 @@ def test_filter_reference_hand_walkthrough():
         reference_filter_outcomes([], (4,), FrequencySketch(cfg), 0.5, "admit")
     with pytest.raises(ValueError):
         reference_filter_outcomes([], (4, 4), FrequencySketch(cfg), 0.5, "maybe")
+
+
+class _Coins:
+    """Stands in for ``random.Random``: hands out fixed draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_chain_reference_hand_walkthrough():
+    # levels 1/1/1 at p = q = 0.5: a draw below 0.5 promotes or demotes
+    coins = _Coins([0.9, 0.1, 0.1, 0.1, 0.9, 0.2, 0.3])
+    keys = ["a", "b", "c", "b", "c", "a", "a"]
+    assert reference_chain_outcomes(keys, (1, 1, 1), 0.5, 0.5, coins) == [
+        ("miss", ((1, 1),)),                   # no victim, no draw
+        ("miss", ((1, 1),)),                   # a displaced; 0.9: dropped
+        ("miss", ((1, 1), (2, 1))),            # b displaced; 0.1: into L2
+        ("hit_l2", ((1, 1), (2, 1))),          # 0.1: b promotes; c demotes (0.1)
+        ("hit_l2", ()),                        # 0.9: c refreshes in place
+        ("miss", ((1, 1), (2, 1), (3, 1))),    # b (0.2) and c (0.3) move down
+        ("hit_l1_window", ()),                 # L1 hits draw nothing
+    ]
+    assert coins.draws == []

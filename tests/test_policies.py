@@ -20,7 +20,11 @@ from bidifilter import (
     hit_at_level,
     make_policy,
 )
-from bidifilter.oracles import reference_filter_outcomes, reference_lru_hits
+from bidifilter.oracles import (
+    reference_chain_outcomes,
+    reference_filter_outcomes,
+    reference_lru_hits,
+)
 from bidifilter.policies import default_sketch
 
 
@@ -279,6 +283,31 @@ def test_filtered_kinds_match_list_reference():
         fast = run(pol, keys)
         ref = reference_filter_outcomes(keys, caps, default_sketch(caps, seed), wf, tie)
         assert fast == ref, (kind, caps, wf, tie)
+
+
+def test_chain_kinds_match_list_reference():
+    # every request of the three unfiltered kinds, at 2-4 levels, against
+    # the list-based reference, which draws on every decision; the engine
+    # may skip draws only where no draw can change an outcome
+    rnd = random.Random(91)
+    probs = [(0.5, 0.5), (1.0, 1.0), (0.0, 1.0), (1.0, 0.5), (0.5, 0.0), (0.0, 0.0)]
+    cases = [("Promote", n, p, q) for n in (2, 3, 4) for p, q in probs]
+    cases += [(kind, n, p, q)
+              for kind, p, q in (("Demote", 1.0, 1.0), ("NaiveLRU", 0.0, 1.0))
+              for n in (2, 3, 4)]
+    for kind, n_levels, p, q in cases * 2:
+        caps = tuple(rnd.randint(1, 8) for _ in range(n_levels))
+        seed = rnd.randint(0, 2**32)
+        span = 3 * sum(caps)
+        keys = [rnd.randint(0, span if rnd.random() < 0.5 else span // 4)
+                for _ in range(1500)]
+        if rnd.random() < 0.3:
+            keys = [f"k{k}" for k in keys]
+        pol = make_policy(PolicySpec(kind, caps, promote_prob=p, demote_prob=q,
+                                     rng_seed=seed))
+        fast = run(pol, keys)
+        ref = reference_chain_outcomes(keys, caps, p, q, random.Random(seed))
+        assert fast == ref, (kind, caps, p, q)
 
 
 def test_admission_soundness_decision_log():
