@@ -30,14 +30,19 @@ outside that level costs one write; recency updates within a level are
 free.  ``AccessOutcome`` carries the request classification plus the
 writes it caused, so a simulation can price traffic exactly.
 
-Baselines: ``Demote`` (one global LRU order chained across levels),
-``NaiveLRU`` (independent levels, hits never move items up) and
-``Promote`` (coin-flip promotion/demotion, bridging the two).  Policies
-with a single undivided L1 report L1 hits in the window bucket.
+Baselines: one unfiltered engine, ``Promote``, chains plain LRU levels
+and moves keys between them by coin flips (promote a deep hit with
+probability p, write each demotion victim onward with probability q).
+Its two named shorthands are ``Demote`` (p = q = 1: one global LRU order
+across the levels) and ``NaiveLRU`` (p = 0, q = 1: independent levels,
+hits never move items up).  ``oracles.reference_chain_outcomes``
+restates it with python lists.  Policies with a single undivided L1
+report L1 hits in the window bucket.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -73,6 +78,16 @@ _HIT_WINDOW = AccessOutcome(HIT_L1_WINDOW)
 _HIT_VETERANS = AccessOutcome(HIT_L1_VETERANS)
 
 
+def _check_level_capacities(level_capacities) -> tuple[int, ...]:
+    """The capacities as a tuple: at least two levels, each of at least 1."""
+    caps = tuple(level_capacities)
+    if len(caps) < 2:
+        raise ValueError("need at least two cache levels")
+    if any(c < 1 for c in caps):
+        raise ValueError("every level capacity must be >= 1")
+    return caps
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """Declarative description of a policy instance.
@@ -93,12 +108,9 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown policy kind: {self.kind!r}")
-        caps = tuple(self.level_capacities)
-        object.__setattr__(self, "level_capacities", caps)
-        if len(caps) < 2:
-            raise ValueError("need at least two cache levels")
-        if any(c < 1 for c in caps):
-            raise ValueError("every level capacity must be >= 1")
+        object.__setattr__(
+            self, "level_capacities", _check_level_capacities(self.level_capacities)
+        )
         if not 0.0 <= self.window_fraction <= 1.0:
             raise ValueError("window_fraction must be in [0, 1]")
         if self.tie_break not in ("admit", "reject"):
@@ -168,11 +180,7 @@ class CascadeFilter:
         rng_seed: int = 0,
         sketch: FrequencySketch | None = None,
     ):
-        caps = tuple(level_capacities)
-        if len(caps) < 2:
-            raise ValueError("need at least two cache levels")
-        if any(c < 1 for c in caps):
-            raise ValueError("level capacities must be >= 1")
+        caps = _check_level_capacities(level_capacities)
         if not 0.0 <= window_fraction <= 1.0:
             raise ValueError("window_fraction must be in [0, 1]")
         if tie_break not in ("admit", "reject"):
@@ -331,22 +339,60 @@ class BiDiFilterUnited(BiDiFilter):
         super().__init__(level_capacities, window_fraction=1.0, **kwargs)
 
 
-class _ChainPolicy:
-    """Shared machinery for the unfiltered baselines (LRU at every level)."""
+class Promote:
+    """The unfiltered baselines: plain LRU levels chained top to bottom.
 
-    def __init__(self, level_capacities):
-        caps = tuple(level_capacities)
-        if len(caps) < 2:
-            raise ValueError("need at least two cache levels")
-        if any(c < 1 for c in caps):
-            raise ValueError("level capacities must be >= 1")
+    A hit below L1 promotes with probability promote_prob (else it just
+    refreshes in place); each demotion hop actually writes the victim to
+    the next level with probability demote_prob (else the victim is
+    dropped and the cascade stops).  ``Demote`` is promote_prob = 1,
+    demote_prob = 1; ``NaiveLRU`` is promote_prob = 0, demote_prob = 1.
+
+    Draw order per request: one draw for the promotion decision on a
+    deep hit, then one draw per demotion hop, top down.  When both
+    probabilities are 0 or 1 no draw can change an outcome, and none is
+    made.
+    """
+
+    def __init__(self, level_capacities, *, promote_prob=0.5, demote_prob=0.5, rng_seed=0):
+        caps = _check_level_capacities(level_capacities)
+        if not 0.0 <= promote_prob <= 1.0:
+            raise ValueError("promote_prob must be in [0, 1]")
+        if not 0.0 <= demote_prob <= 1.0:
+            raise ValueError("demote_prob must be in [0, 1]")
         self.levels = tuple(LruSpace(c) for c in caps)
         self.n_levels = len(caps)
+        # a hit refreshed in place writes nothing: one shared outcome per level
+        self._hits_in_place = (_HIT_WINDOW,) + tuple(
+            AccessOutcome(hit_at_level(n)) for n in range(2, len(caps) + 1)
+        )
+        self.promote_prob = promote_prob
+        self.demote_prob = demote_prob
+        self.rng = random.Random(rng_seed)
+        # a constant 0.5 decides a 0-or-1 probability the way any draw
+        # would, without advancing the random stream
+        certain = {promote_prob, demote_prob} <= {0, 1}
+        self._coin = itertools.repeat(0.5).__next__ if certain else self.rng.random
+
+    def handle(self, key) -> AccessOutcome:
+        for i, space in enumerate(self.levels):
+            if key in space:
+                if i and self._coin() < self.promote_prob:
+                    space.remove(key)
+                    writes = []
+                    self._push_top(key, writes)
+                    return AccessOutcome(hit_at_level(i + 1), tuple(writes))
+                space.touch(key)
+                return self._hits_in_place[i]
+        writes = []
+        self._push_top(key, writes)
+        return AccessOutcome(MISS, tuple(writes))
 
     def _push_top(self, key, writes) -> None:
-        # insert at L1 MRU; overflow victims demote level by level until
-        # one lands in a level with room, the bottom victim falling out
+        # insert at L1 MRU; each overflow victim moves one level down if the
+        # demotion coin lets it, else it leaves the cache
         item = key
+        coin, demote_prob = self._coin, self.demote_prob
         for level, space in enumerate(self.levels, start=1):
             victim = None
             if len(space) >= space.capacity:
@@ -354,7 +400,7 @@ class _ChainPolicy:
                 space.remove(victim)
             space.insert(item)
             writes.append((level, 1))
-            if victim is None:
+            if victim is None or coin() >= demote_prob:
                 return
             item = victim
 
@@ -368,7 +414,7 @@ class _ChainPolicy:
         assert len(union) == total
 
 
-class Demote(_ChainPolicy):
+class Demote(Promote):
     """One global LRU order spread across the levels.
 
     Hits anywhere move the key to L1 MRU; the displaced items slide one
@@ -376,85 +422,12 @@ class Demote(_ChainPolicy):
     stack of the combined capacity.
     """
 
-    def handle(self, key) -> AccessOutcome:
-        for i, space in enumerate(self.levels):
-            if key in space:
-                if i == 0:
-                    space.touch(key)
-                    return _HIT_WINDOW
-                space.remove(key)
-                writes = []
-                self._push_top(key, writes)
-                return AccessOutcome(hit_at_level(i + 1), tuple(writes))
-        writes = []
-        self._push_top(key, writes)
-        return AccessOutcome(MISS, tuple(writes))
+    def __init__(self, level_capacities):
+        super().__init__(level_capacities, promote_prob=1.0, demote_prob=1.0)
 
 
-class NaiveLRU(_ChainPolicy):
+class NaiveLRU(Promote):
     """Independent LRU levels: hits refresh in place and never move up."""
 
-    def handle(self, key) -> AccessOutcome:
-        for i, space in enumerate(self.levels):
-            if key in space:
-                space.touch(key)
-                return _HIT_WINDOW if i == 0 else AccessOutcome(hit_at_level(i + 1))
-        writes = []
-        self._push_top(key, writes)
-        return AccessOutcome(MISS, tuple(writes))
-
-
-class Promote(_ChainPolicy):
-    """Coin-flip middle ground between Demote and NaiveLRU.
-
-    A hit below L1 promotes with probability promote_prob (else it just
-    refreshes in place); each demotion hop actually writes the victim to
-    the next level with probability demote_prob (else the victim is
-    dropped and the cascade stops).  promote_prob=1, demote_prob=1 is
-    exactly Demote; promote_prob=0, demote_prob=1 is exactly NaiveLRU.
-
-    Draw order per request: one draw for the promotion decision on a
-    deep hit, then one draw per demotion hop, top down.
-    """
-
-    def __init__(self, level_capacities, *, promote_prob=0.5, demote_prob=0.5, rng_seed=0):
-        super().__init__(level_capacities)
-        if not 0.0 <= promote_prob <= 1.0:
-            raise ValueError("promote_prob must be in [0, 1]")
-        if not 0.0 <= demote_prob <= 1.0:
-            raise ValueError("demote_prob must be in [0, 1]")
-        self.promote_prob = promote_prob
-        self.demote_prob = demote_prob
-        self.rng = random.Random(rng_seed)
-
-    def handle(self, key) -> AccessOutcome:
-        for i, space in enumerate(self.levels):
-            if key in space:
-                if i == 0:
-                    space.touch(key)
-                    return _HIT_WINDOW
-                if self.rng.random() < self.promote_prob:
-                    space.remove(key)
-                    writes = []
-                    self._push_top_prob(key, writes)
-                    return AccessOutcome(hit_at_level(i + 1), tuple(writes))
-                space.touch(key)
-                return AccessOutcome(hit_at_level(i + 1))
-        writes = []
-        self._push_top_prob(key, writes)
-        return AccessOutcome(MISS, tuple(writes))
-
-    def _push_top_prob(self, key, writes) -> None:
-        item = key
-        for level, space in enumerate(self.levels, start=1):
-            victim = None
-            if len(space) >= space.capacity:
-                victim = space.peek_victim()
-                space.remove(victim)
-            space.insert(item)
-            writes.append((level, 1))
-            if victim is None:
-                return
-            if self.rng.random() >= self.demote_prob:
-                return  # victim dropped instead of written onward
-            item = victim
+    def __init__(self, level_capacities):
+        super().__init__(level_capacities, promote_prob=0.0, demote_prob=1.0)

@@ -49,7 +49,7 @@ class SketchConfig:
     sample_size: increments between aging halvings (W).
     tracked_capacity: cache capacity the sketch protects (C); together with
         sample_size it fixes the counter saturation cap ceil(W/C).
-    width: counters per row; defaults to the smallest power of two >= C.
+    width: counters per row: a power of two >= C, by default the smallest.
     counter_bits: cap must fit in this many bits.
     """
 
@@ -72,6 +72,8 @@ class SketchConfig:
             object.__setattr__(self, "width", next_pow2(self.tracked_capacity))
         if self.width < self.tracked_capacity:
             raise ValueError("width must be >= tracked_capacity")
+        if self.width & (self.width - 1):
+            raise ValueError("width must be a power of two")
         if self.counter_cap > (1 << self.counter_bits) - 1:
             raise ValueError(
                 f"counter cap {self.counter_cap} does not fit in "
@@ -98,9 +100,10 @@ class SketchConfig:
 class FrequencySketch:
     """Count-min sketch with saturating counters and periodic halving.
 
-    Keys may be ints (hashed with a splitmix64-style mixer) or strings
-    (hashed with keyed blake2b).  Neither path touches Python's salted
-    ``hash()``, so estimates are reproducible across processes.
+    Keys may be ints, Python or numpy alike (hashed with a splitmix64-style
+    mixer), or strings (hashed with keyed blake2b).  Neither path touches
+    Python's salted ``hash()``, so estimates are reproducible across
+    processes.
 
     ``record_many``/``estimate_many`` are vectorized twins of the scalar
     operations for integer key arrays; they produce bit-identical counter
@@ -117,8 +120,7 @@ class FrequencySketch:
         self._depth = config.depth
         typecode = "B" if self._cap <= 0xFF else ("H" if self._cap <= 0xFFFF else "Q")
         self._table = array(typecode, [0]) * (self._depth * self._width)
-        # power-of-two widths (the default) take the cheaper mask path
-        self._mask = self._width - 1 if self._width & (self._width - 1) == 0 else None
+        self._mask = self._width - 1
         # (row offset, odd multiplier) per row; multipliers are fixed constants
         self._rows = tuple(
             (r * self._width, mix64(_GOLDEN * (r + 1)) | 1) for r in range(self._depth)
@@ -128,9 +130,9 @@ class FrequencySketch:
     # -- hashing ---------------------------------------------------------
 
     def _base(self, key) -> int:
-        if isinstance(key, int):
-            return mix64(key ^ self._seed)
         if not isinstance(key, str):
+            if isinstance(key, (int, np.integer)):
+                return mix64(int(key) ^ self._seed)
             key = str(key)
         digest = hashlib.blake2b(
             key.encode("utf-8"), digest_size=8, key=self._seed_bytes
@@ -149,7 +151,7 @@ class FrequencySketch:
     def _indexes_many(self, bases: np.ndarray, mult: int) -> np.ndarray:
         x = bases * np.uint64(mult)
         x ^= x >> np.uint64(32)
-        return (x % np.uint64(self._width)).astype(np.intp)
+        return (x & np.uint64(self._mask)).astype(np.intp)
 
     # -- scalar operations -------------------------------------------------
 
@@ -169,21 +171,12 @@ class FrequencySketch:
         tbl = self._table
         cap = self._cap
         mask = self._mask
-        if mask is not None:
-            for off, mult in self._rows:
-                x = (base * mult) & _M64
-                i = off + ((x ^ (x >> 32)) & mask)
-                c = tbl[i]
-                if c < cap:
-                    tbl[i] = c + 1
-        else:
-            w = self._width
-            for off, mult in self._rows:
-                x = (base * mult) & _M64
-                i = off + ((x ^ (x >> 32)) % w)
-                c = tbl[i]
-                if c < cap:
-                    tbl[i] = c + 1
+        for off, mult in self._rows:
+            x = (base * mult) & _M64
+            i = off + ((x ^ (x >> 32)) & mask)
+            c = tbl[i]
+            if c < cap:
+                tbl[i] = c + 1
         self.increments_since_reset += 1
         if self.increments_since_reset >= self.config.sample_size:
             self.halve()
@@ -203,19 +196,11 @@ class FrequencySketch:
         tbl = self._table
         best = self._cap
         mask = self._mask
-        if mask is not None:
-            for off, mult in self._rows:
-                x = (base * mult) & _M64
-                c = tbl[off + ((x ^ (x >> 32)) & mask)]
-                if c < best:
-                    best = c
-        else:
-            w = self._width
-            for off, mult in self._rows:
-                x = (base * mult) & _M64
-                c = tbl[off + ((x ^ (x >> 32)) % w)]
-                if c < best:
-                    best = c
+        for off, mult in self._rows:
+            x = (base * mult) & _M64
+            c = tbl[off + ((x ^ (x >> 32)) & mask)]
+            if c < best:
+                best = c
         return best
 
     def halve(self) -> None:

@@ -385,15 +385,20 @@ def test_naive_lru_l2_writes_bounded_by_misses():
 
 
 def test_promote_degenerate_equivalences():
+    # Demote and NaiveLRU are Promote(1, 1) and Promote(0, 1) themselves,
+    # so every run is held to the list-based reference instead
     rnd = random.Random(8)
     for trial in range(10):
         caps = tuple(rnd.randint(1, 5) for _ in range(rnd.choice([2, 3])))
         keys = [rnd.randint(0, 12) for _ in range(600)]
-        d, p1 = Demote(caps), Promote(caps, promote_prob=1.0, demote_prob=1.0, rng_seed=trial)
-        n, p0 = NaiveLRU(caps), Promote(caps, promote_prob=0.0, demote_prob=1.0, rng_seed=trial)
-        for k in keys:
-            assert d.handle(k) == p1.handle(k)
-            assert n.handle(k) == p0.handle(k)
+        for pol, p, q in (
+            (Demote(caps), 1.0, 1.0),
+            (Promote(caps, promote_prob=1.0, demote_prob=1.0, rng_seed=trial), 1.0, 1.0),
+            (NaiveLRU(caps), 0.0, 1.0),
+            (Promote(caps, promote_prob=0.0, demote_prob=1.0, rng_seed=trial), 0.0, 1.0),
+        ):
+            ref = reference_chain_outcomes(keys, caps, p, q, random.Random(trial))
+            assert run(pol, keys) == ref
 
 
 def test_promote_is_deterministic_per_seed():

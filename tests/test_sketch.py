@@ -26,6 +26,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SketchConfig(sample_size=10, tracked_capacity=4, width=3)  # width < C
     with pytest.raises(ValueError):
+        SketchConfig(sample_size=10, tracked_capacity=4, width=24)  # not a power of two
+    with pytest.raises(ValueError):
         SketchConfig(sample_size=10, tracked_capacity=1, depth=0)
 
 
@@ -167,7 +169,7 @@ def test_scalar_and_bulk_paths_match_exactly():
             sample_size=rnd.randint(5, 80),
             tracked_capacity=rnd.randint(1, 8),
             depth=rnd.randint(1, 5),
-            width=rnd.choice([8, 16, 24, 64]),  # pow2 and non-pow2
+            width=rnd.choice([8, 16, 32, 64]),
             counter_bits=8,
         )
         s1 = FrequencySketch(cfg, seed=trial)
@@ -181,6 +183,24 @@ def test_scalar_and_bulk_paths_match_exactly():
         queries = np.arange(-110, 111)
         bulk = s2.estimate_many(queries)
         assert all(bulk[i] == s1.estimate(int(q)) for i, q in enumerate(queries))
+
+
+def test_numpy_and_python_int_keys_are_the_same_key():
+    # a numpy-typed trace must count and estimate exactly like python ints
+    cfg = SketchConfig(sample_size=1000, tracked_capacity=128)
+    py, npy, bulk = (FrequencySketch(cfg, seed=4) for _ in range(3))
+    keys = list(range(1, 200))
+    for k in keys:
+        py.record(k)
+        npy.record(np.int64(k))
+    bulk.record_many(np.array(keys, dtype=np.int64))
+    assert (py.counters == npy.counters).all()
+    assert (py.counters == bulk.counters).all()
+    for k in (5, 77, 500):
+        expected = py.estimate(k)
+        assert npy.estimate(np.int64(k)) == expected
+        assert npy.estimate(np.uint32(k)) == expected
+        assert bulk.estimate_many(np.array([k]))[0] == expected
 
 
 def test_bulk_rejects_non_integer_keys():
