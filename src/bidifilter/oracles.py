@@ -2,16 +2,22 @@
 
 Everything here favors obviousness over speed: exact counting by
 scanning, LRU as a python list, the filtered policy and the chained-LRU
-baselines with every space a python list, Zipf probabilities by direct
-summation.
+baselines with every space a python list, the count-min sketch with one
+list per row and every access hashed afresh, Zipf probabilities by
+direct summation.
 The test suite checks the fast paths against these.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from .sketch import mix64
 
 
 def exact_counts(keys: Iterable) -> Counter:
@@ -253,6 +259,57 @@ def reference_chain_outcomes(
             levels[found].append(key)  # refreshed in place
         outcomes.append((f"hit_l{found + 1}", tuple(writes)))
     return outcomes
+
+
+def reference_sketch_counters(
+    keys: Sequence, config, seed: int
+) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """``(counters, estimate)`` after every record into a count-min sketch.
+
+    Restates ``FrequencySketch`` with one python list per row.  Every
+    access is hashed from scratch: an int (Python, numpy or bool) through
+    ``mix64`` of its value, a string through keyed blake2b of its UTF-8
+    bytes, anything else through blake2b of ``str(key)``.  A row's
+    counter index is the top-folded product of that base with the row's
+    odd multiplier, masked to the width.  Counters saturate at
+    ``config.counter_cap``, and every ``config.sample_size`` records all
+    of them are halved.  ``counters`` is the row-major matrix right after
+    the record (and any halving it triggers); ``estimate`` is the minimum
+    over the recorded key's counters at that point.
+    """
+    m64 = (1 << 64) - 1
+    salt = mix64(seed)
+    multipliers = [mix64(0x9E3779B97F4A7C15 * (r + 1)) | 1 for r in range(config.depth)]
+    rows = [[0] * config.width for _ in range(config.depth)]
+
+    def base(key) -> int:
+        if isinstance(key, (int, np.integer)):
+            return mix64(int(key) ^ salt)
+        data = (key if isinstance(key, str) else str(key)).encode("utf-8")
+        digest = hashlib.blake2b(data, digest_size=8, key=salt.to_bytes(8, "little"))
+        return int.from_bytes(digest.digest(), "little")
+
+    def slots(key) -> list[int]:
+        b = base(key)
+        out = []
+        for mult in multipliers:
+            x = (b * mult) & m64
+            out.append((x ^ (x >> 32)) % config.width)
+        return out
+
+    snapshots = []
+    recorded = 0
+    for key in keys:
+        where = slots(key)
+        for row, i in zip(rows, where):
+            row[i] = min(row[i] + 1, config.counter_cap)
+        recorded += 1
+        if recorded == config.sample_size:
+            rows = [[c // 2 for c in row] for row in rows]
+            recorded = 0
+        estimate = min(row[i] for row, i in zip(rows, where))
+        snapshots.append((tuple(tuple(row) for row in rows), estimate))
+    return snapshots
 
 
 def exact_zipf_probabilities(ground_set: int, skew: float) -> list[float]:

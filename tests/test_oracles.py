@@ -2,6 +2,7 @@ import math
 import random
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from bidifilter import FrequencySketch, SketchConfig
@@ -13,6 +14,7 @@ from bidifilter.oracles import (
     reference_filter_outcomes,
     reference_lru_contents,
     reference_lru_hits,
+    reference_sketch_counters,
 )
 
 
@@ -129,3 +131,19 @@ def test_chain_reference_hand_walkthrough():
         ("hit_l1_window", ()),                 # L1 hits draw nothing
     ]
     assert coins.draws == []
+
+
+def test_sketch_reference_hand_walkthrough():
+    # one key alone: its counters climb to the cap ceil(6/2) = 3, hold
+    # there, and the sixth record halves them to 1; every other counter
+    # stays 0, so each row sums to the estimate
+    cfg = SketchConfig(sample_size=6, tracked_capacity=2, depth=3, width=8)
+    snapshots = reference_sketch_counters(["a"] * 7, cfg, seed=5)
+    assert [estimate for _, estimate in snapshots] == [1, 2, 3, 3, 3, 1, 2]
+    for counters, estimate in snapshots:
+        assert len(counters) == 3 and all(len(row) == 8 for row in counters)
+        assert all(sum(row) == estimate for row in counters)
+    # 1, True and numpy 1 are the same int; 1.0 hashes as the string "1.0"
+    for same in (True, np.int64(1)):
+        assert reference_sketch_counters([same], cfg, 5) == reference_sketch_counters([1], cfg, 5)
+    assert reference_sketch_counters([1.0], cfg, 5) == reference_sketch_counters(["1.0"], cfg, 5)

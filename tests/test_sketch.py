@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bidifilter import FrequencySketch, SketchConfig
-from bidifilter.oracles import exact_counts
+from bidifilter.oracles import exact_counts, reference_sketch_counters
 
 
 def test_config_cap_rule():
@@ -234,3 +234,40 @@ def test_same_seed_same_estimates_across_instances():
         c.record(k)
     # a different seed relocates counters; content must differ somewhere
     assert (a.counters != c.counters).any()
+
+
+def _stream(kind, rnd, n):
+    if kind == "int":
+        pool = list(range(-40, 120)) + [2**63 + 5, 2**70 + 1, -(2**65)]
+        return [rnd.choice(pool) for _ in range(n)]
+    if kind == "str":
+        return [rnd.choice(("k", "chunk#", "é", "")) + str(rnd.randint(0, 150)) for _ in range(n)]
+    if kind == "np.int64":
+        return [np.int64(rnd.randint(-40, 150)) for _ in range(n)]
+    # values that compare equal (1, True, np.int64(1), 1.0) but not all hash
+    # alike: 1.0 goes through str() and "1" is a string key
+    mixed = (1, True, np.int64(1), 1.0, "1", 2, "2", 2.0)
+    return [rnd.choice(mixed) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["int", "str", "np.int64", "mixed"])
+def test_scalar_ops_match_reference_after_every_record(kind):
+    rnd = random.Random(kind)  # str seeds are not salted
+    for trial in range(12):
+        cfg = SketchConfig(
+            sample_size=rnd.randint(5, 40),
+            tracked_capacity=rnd.randint(1, 8),
+            depth=1 + trial % 4,
+            width=rnd.choice([8, 16, 32, 64]),
+            counter_bits=8,
+        )
+        keys = _stream(kind, rnd, 300)
+        assert len(keys) // cfg.sample_size >= 5  # several halvings
+        sk = FrequencySketch(cfg, seed=trial)
+        expected = reference_sketch_counters(keys, cfg, seed=trial)
+        for step, (key, (counters, estimate)) in enumerate(zip(keys, expected)):
+            if rnd.random() < 0.5:
+                sk.estimate(key)  # first sight through estimate, not record
+            sk.record(key)
+            assert sk.counters.tolist() == [list(row) for row in counters], (trial, step)
+            assert sk.estimate(key) == estimate, (trial, step, key)
