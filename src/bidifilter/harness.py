@@ -1,9 +1,11 @@
 """Trace replay and parameter sweeps over policies and cache geometries.
 
-A sweep makes two passes: the first counts distinct keys so capacities
-can be expressed as fractions of the workload's footprint, the second
-replays the trace once per (policy, geometry) cell.  Every cell gets its
-own seed derived from the master seed and the cell index, so results are
+A sweep reads its trace once, into one list of keys, and every
+(policy, geometry) cell replays that list; under ``jobs > 1`` each
+worker process receives the list once, when it starts.  A first pass
+over the list counts distinct keys so capacities can be expressed as
+fractions of the workload's footprint.  Every cell gets its own seed
+derived from the master seed and the cell index, so results are
 reproducible row for row regardless of execution order or parallelism.
 """
 
@@ -174,34 +176,48 @@ def level_capacities_for(
     return tuple(caps)
 
 
-def _run_cell(args) -> ResultRow:
-    source, spec, latency, label = args
-    return run_single(spec, open_trace(source), latency, trace_id=label)
+_worker_cell_args: tuple = ()  # (keys, latency, trace_id) in a sweep pool worker
+
+
+def _share_with_worker(keys: list, latency: LatencyParams, trace_id: str) -> None:
+    global _worker_cell_args
+    _worker_cell_args = (keys, latency, trace_id)
+
+
+def _run_worker_cell(spec: PolicySpec) -> ResultRow:
+    keys, latency, trace_id = _worker_cell_args
+    return run_single(spec, keys, latency, trace_id=trace_id)
 
 
 def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
     """All cells of a sweep, in deterministic (policy, percent, ratio) order."""
-    uniques, accesses = count_uniques(open_trace(sweep.trace_source))
+    keys = list(open_trace(sweep.trace_source))
+    uniques, accesses = count_uniques(keys)
     if accesses == 0:
         raise ValueError("trace is empty")
     label = trace_label(sweep.trace_source)
-    cells = []
+    specs = []
     index = 0
     for template in sweep.policies:
         for percent in sweep.l2_size_percents:
             for ratio in sweep.l1_ratios:
                 caps = level_capacities_for(uniques, percent, ratio, sweep.n_levels)
-                spec = replace(
+                specs.append(replace(
                     template,
                     level_capacities=caps,
                     rng_seed=derive_seed(sweep.master_seed, index),
-                )
-                cells.append((sweep.trace_source, spec, sweep.latency, label))
+                ))
                 index += 1
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell, cells))
-    return [_run_cell(cell) for cell in cells]
+        # each worker receives the trace once, at start-up (inherited
+        # under fork); a task carries only its PolicySpec
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_share_with_worker,
+            initargs=(keys, sweep.latency, label),
+        ) as pool:
+            return list(pool.map(_run_worker_cell, specs))
+    return [run_single(spec, keys, sweep.latency, trace_id=label) for spec in specs]
 
 
 def write_rows_csv(rows: Sequence[ResultRow], fh) -> None:

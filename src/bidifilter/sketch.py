@@ -105,6 +105,15 @@ class FrequencySketch:
     Python's salted ``hash()``, so estimates are reproducible across
     processes.
 
+    Each key is hashed once per sample window: ``record`` memoizes a key
+    whose type is exactly ``int`` or ``str`` as the tuple of its
+    ``depth`` counter indexes, and later ``record`` and ``estimate``
+    calls on it only read the tuple.  Other types (bool, numpy ints, floats) are hashed on every
+    call, because they compare equal to an int key that they may not
+    hash like (``1.0 == 1``, but 1.0 hashes as the string "1.0").  Only
+    ``record`` fills the memo and ``halve`` empties it, so it never holds
+    more than ``sample_size`` keys.
+
     ``record_many``/``estimate_many`` are vectorized twins of the scalar
     operations for integer key arrays; they produce bit-identical counter
     state (saturating adds commute, and batches are split at halving
@@ -125,6 +134,7 @@ class FrequencySketch:
         self._rows = tuple(
             (r * self._width, mix64(_GOLDEN * (r + 1)) | 1) for r in range(self._depth)
         )
+        self._memo: dict = {}  # key -> _slots(key), for int and str keys
         self.increments_since_reset = 0
 
     # -- hashing ---------------------------------------------------------
@@ -138,6 +148,16 @@ class FrequencySketch:
             key.encode("utf-8"), digest_size=8, key=self._seed_bytes
         ).digest()
         return int.from_bytes(digest, "little")
+
+    def _slots(self, key) -> tuple[int, ...]:
+        """Flat table index of ``key``'s counter in every row."""
+        base = self._base(key)
+        mask = self._mask
+        slots = []
+        for off, mult in self._rows:
+            x = (base * mult) & _M64
+            slots.append(off + ((x ^ (x >> 32)) & mask))
+        return tuple(slots)
 
     def _base_many(self, keys: np.ndarray) -> np.ndarray:
         x = keys.astype(np.uint64) ^ np.uint64(self._seed)
@@ -157,23 +177,16 @@ class FrequencySketch:
 
     def record(self, key) -> None:
         """Count one occurrence of ``key``; ages the sketch every W records."""
-        # hashing is inlined here and in estimate(): this runs once per
-        # simulated request and call overhead dominates otherwise
-        if type(key) is int:
-            x = (key ^ self._seed) & _M64
-            x ^= x >> 33
-            x = (x * _MIX1) & _M64
-            x ^= x >> 33
-            x = (x * _MIX2) & _M64
-            base = x ^ (x >> 33)
+        kind = type(key)
+        if kind is int or kind is str:
+            slots = self._memo.get(key)
+            if slots is None:
+                slots = self._memo[key] = self._slots(key)
         else:
-            base = self._base(key)
+            slots = self._slots(key)
         tbl = self._table
         cap = self._cap
-        mask = self._mask
-        for off, mult in self._rows:
-            x = (base * mult) & _M64
-            i = off + ((x ^ (x >> 32)) & mask)
+        for i in slots:
             c = tbl[i]
             if c < cap:
                 tbl[i] = c + 1
@@ -184,28 +197,22 @@ class FrequencySketch:
 
     def estimate(self, key) -> int:
         """Minimum counter over the key's rows; never mutates state."""
-        if type(key) is int:
-            x = (key ^ self._seed) & _M64
-            x ^= x >> 33
-            x = (x * _MIX1) & _M64
-            x ^= x >> 33
-            x = (x * _MIX2) & _M64
-            base = x ^ (x >> 33)
-        else:
-            base = self._base(key)
+        kind = type(key)
+        slots = self._memo.get(key) if kind is int or kind is str else None
+        if slots is None:
+            slots = self._slots(key)  # not memoized: only records fill the memo
         tbl = self._table
         best = self._cap
-        mask = self._mask
-        for off, mult in self._rows:
-            x = (base * mult) & _M64
-            c = tbl[off + ((x ^ (x >> 32)) & mask)]
+        for i in slots:
+            c = tbl[i]
             if c < best:
                 best = c
         return best
 
     def halve(self) -> None:
-        """Age every counter by floor division by two."""
+        """Age every counter by floor division by two; empties the slot memo."""
         self._view()[:] >>= 1
+        self._memo.clear()
 
     def _view(self) -> np.ndarray:
         return np.frombuffer(self._table, dtype=np.dtype(self._table.typecode))

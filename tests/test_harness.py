@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from bidifilter import (
     write_rows_csv,
     write_rows_jsonl,
 )
+from bidifilter import harness
 from bidifilter.harness import open_trace
 from bidifilter.sketch import derive_seed
 from bidifilter.workload import count_uniques
@@ -145,9 +147,38 @@ def test_run_sweep_is_reproducible():
     assert run_sweep(sweep_fixture()) == run_sweep(sweep_fixture())
 
 
-def test_run_sweep_parallel_matches_serial():
+def test_run_sweep_parallel_matches_serial(tmp_path):
     spec = sweep_fixture()
     assert run_sweep(spec, jobs=2) == run_sweep(spec, jobs=1)
+    # a file trace: string chunk keys, sized accesses spanning chunks
+    rnd = random.Random(3)
+    trace = tmp_path / "chunks.trace"
+    trace.write_text("".join(
+        f"obj{rnd.randint(0, 80)},{rnd.randint(0, 20_000)}\n" for _ in range(1_500)
+    ))
+    spec = sweep_fixture(trace_source=str(trace))
+    serial = run_sweep(spec, jobs=1)
+    assert run_sweep(spec, jobs=2) == serial
+    assert serial[0].requests > 1_500
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_sweep_reads_the_trace_once(jobs, monkeypatch, tmp_path):
+    # calls are logged to a file, so a call made in a worker process counts
+    log = tmp_path / "calls.log"
+
+    def logged(fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(fn.__name__ + "\n")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "open_trace", logged(harness.open_trace))
+    monkeypatch.setattr(harness, "count_uniques", logged(harness.count_uniques))
+    rows = run_sweep(sweep_fixture(), jobs=jobs)
+    assert len(rows) == 4
+    assert sorted(log.read_text().split()) == ["count_uniques", "open_trace"]
 
 
 def test_run_sweep_n_levels_geometry():

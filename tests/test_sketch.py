@@ -271,3 +271,27 @@ def test_scalar_ops_match_reference_after_every_record(kind):
             sk.record(key)
             assert sk.counters.tolist() == [list(row) for row in counters], (trial, step)
             assert sk.estimate(key) == estimate, (trial, step, key)
+
+
+def test_slot_memo_is_bounded_by_the_sample_window():
+    cfg = SketchConfig(sample_size=50, tracked_capacity=5)
+    sk = FrequencySketch(cfg, seed=1)
+    sizes, halvings = [], 0
+    for k in range(3 * cfg.sample_size):  # every key distinct
+        sk.record(k if k % 2 else f"s{k}")
+        sizes.append(len(sk._memo))
+        if sk.increments_since_reset == 0:
+            halvings += 1
+            assert not sk._memo  # emptied by the halving
+    assert halvings == 3
+    assert max(sizes) == cfg.sample_size - 1
+    # estimates read the memo but never add to it; keys of other types
+    # than exactly int or str never enter it
+    for k in range(10):
+        sk.record(k)
+    for key in [*range(100, 200), True, np.int64(3), 1.0]:
+        sk.estimate(key)
+    sk.record(True)
+    sk.record(np.int64(12))
+    sk.record(2.0)
+    assert sorted(sk._memo) == list(range(10))
