@@ -202,11 +202,12 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
         for percent in sweep.l2_size_percents:
             for ratio in sweep.l1_ratios:
                 caps = level_capacities_for(uniques, percent, ratio, sweep.n_levels)
-                specs.append(replace(
+                spec = replace(
                     template,
                     level_capacities=caps,
                     rng_seed=derive_seed(sweep.master_seed, index),
-                ))
+                )
+                specs.append(spec)
                 index += 1
     if jobs > 1:
         # each worker receives the trace once, at start-up (inherited

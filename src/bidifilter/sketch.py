@@ -108,11 +108,11 @@ class FrequencySketch:
     Each key is hashed once per sample window: ``record`` memoizes a key
     whose type is exactly ``int`` or ``str`` as the tuple of its
     ``depth`` counter indexes, and later ``record`` and ``estimate``
-    calls on it only read the tuple.  Other types (bool, numpy ints, floats) are hashed on every
-    call, because they compare equal to an int key that they may not
-    hash like (``1.0 == 1``, but 1.0 hashes as the string "1.0").  Only
-    ``record`` fills the memo and ``halve`` empties it, so it never holds
-    more than ``sample_size`` keys.
+    calls on it only read the tuple.  Other types (bool, numpy ints,
+    floats) are hashed on every call, because they compare equal to an
+    int key that they may not hash like (``1.0 == 1``, but 1.0 hashes as
+    the string "1.0").  Only ``record`` fills the memo and ``halve``
+    empties it, so it never holds more than ``sample_size`` keys.
 
     ``record_many``/``estimate_many`` are vectorized twins of the scalar
     operations for integer key arrays; they produce bit-identical counter
