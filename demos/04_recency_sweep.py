@@ -8,13 +8,21 @@ repetition grows, the window catches up and overtakes it, and at the
 extreme the two converge.  This is a scaled-down version of the
 acceptance suite's crossover check.
 
-Run:  python3 demos/04_recency_sweep.py   (about half a minute)
+Run:  python3 demos/04_recency_sweep.py [SCALE]
+
+SCALE (default 1) multiplies the trace length (200,000 accesses) and
+its ground set (20,000 keys); at 1 the sweep takes tens of seconds.
 """
+
+import sys
 
 from bidifilter import PolicySpec, SyntheticSpec, generate_synthetic, run_single
 
-LENGTH = 200_000
-GROUND = 20_000
+SCALE = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
+if SCALE <= 0:
+    sys.exit("SCALE must be positive")
+LENGTH = max(1, round(200_000 * SCALE))
+GROUND = max(1, round(20_000 * SCALE))
 
 print(f"trace: length={LENGTH} ground_set={GROUND} skew=0.5, "
       f"L2=50% of footprint, L1=10% of L2\n")

@@ -2,8 +2,10 @@
 
 from .harness import (
     RESULT_FIELDS,
+    CompiledTrace,
     ResultRow,
     SweepSpec,
+    compile_trace,
     level_capacities_for,
     run_single,
     run_sweep,
@@ -55,14 +57,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessOutcome", "BiDiFilter", "BiDiFilterUnited", "CascadeFilter",
-    "Demote", "FAST_MISS_LATENCY", "FrequencySketch", "HIT_L1_VETERANS",
-    "HIT_L1_WINDOW", "HIT_L2", "KINDS", "LatencyParams", "LruSpace",
-    "MISS", "NaiveLRU", "PolicySpec", "Promote", "RESULT_FIELDS",
-    "ResultRow", "SimStats", "SketchConfig", "SlruSpace", "SweepSpec",
-    "SyntheticSpec", "TraceFormatError", "avg_read_latency",
-    "avg_rw_latency", "count_uniques", "derive_seed", "expand_chunks",
-    "generate_synthetic", "hit_at_level", "hit_ratio", "ingest_trace",
-    "key_frequencies", "level_capacities_for", "make_policy", "mix64",
-    "run_single", "run_sweep", "stream_digest", "trace_label",
-    "write_rows", "write_rows_csv", "write_rows_jsonl", "zipf_cumulative",
+    "CompiledTrace", "Demote", "FAST_MISS_LATENCY", "FrequencySketch",
+    "HIT_L1_VETERANS", "HIT_L1_WINDOW", "HIT_L2", "KINDS",
+    "LatencyParams", "LruSpace", "MISS", "NaiveLRU", "PolicySpec",
+    "Promote", "RESULT_FIELDS", "ResultRow", "SimStats", "SketchConfig",
+    "SlruSpace", "SweepSpec", "SyntheticSpec", "TraceFormatError",
+    "avg_read_latency", "avg_rw_latency", "compile_trace",
+    "count_uniques", "derive_seed", "expand_chunks", "generate_synthetic",
+    "hit_at_level", "hit_ratio", "ingest_trace", "key_frequencies",
+    "level_capacities_for", "make_policy", "mix64", "run_single",
+    "run_sweep", "stream_digest", "trace_label", "write_rows",
+    "write_rows_csv", "write_rows_jsonl", "zipf_cumulative",
 ]

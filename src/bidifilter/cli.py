@@ -132,13 +132,26 @@ def _emit(rows, args) -> None:
         write_rows(rows, args.out, args.format)
 
 
+def _latency(args) -> LatencyParams:
+    latency = _parse_latency(args.latency) if args.latency else LatencyParams()
+    covered = len(latency.level_ns)
+    if covered < args.levels:
+        given = (f"{covered + 1} given" if args.latency
+                 else f"the default covers {covered} levels")
+        raise ValueError(
+            f"--levels {args.levels} needs --latency with {args.levels + 1} values, "
+            f"t_l1,...,t_l{args.levels},t_miss in ns; {given}"
+        )
+    return latency
+
+
 def _sweep_spec(args, kinds, l2_size_percents, l1_ratios) -> SweepSpec:
     return SweepSpec(
         trace_source=_trace_source(args),
         policies=tuple(_template(kind, args) for kind in kinds),
         l2_size_percents=l2_size_percents,
         l1_ratios=l1_ratios,
-        latency=_parse_latency(args.latency) if args.latency else LatencyParams(),
+        latency=_latency(args),
         master_seed=args.seed,
         n_levels=args.levels,
     )

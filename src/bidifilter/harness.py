@@ -1,22 +1,32 @@
 """Trace replay and parameter sweeps over policies and cache geometries.
 
-A sweep reads its trace once, into one list of keys, and every
-(policy, geometry) cell replays that list; under ``jobs > 1`` each
-worker process receives the list once, when it starts.  A first pass
-over the list counts distinct keys so capacities can be expressed as
-fractions of the workload's footprint.  Every cell gets its own seed
-derived from the master seed and the cell index, so results are
-reproducible row for row regardless of execution order or parallelism.
+A trace whose keys are all exactly ``int`` or all exactly ``str`` can be
+compiled (``compile_trace``): each distinct key gets a dense id in
+first-seen order, and the trace becomes an ``array`` of ids plus one
+list of the distinct keys.  A filtered policy replays a compiled trace
+with its sketch bound to that list, so each distinct key is hashed
+once per cell, into a slot table indexed by id.  Ids give the same rows
+as the keys they stand for; a trace of any other key types replays its
+raw keys.
+
+A sweep reads and compiles its trace once, and every (policy, geometry)
+cell replays the compiled trace; under ``jobs > 1`` each worker process
+receives it once, when it starts.  A first pass counts distinct keys so
+capacities can be expressed as fractions of the workload's footprint.
+Every cell gets its own seed derived from the master seed and the cell
+index, so results are reproducible row for row regardless of execution
+order or parallelism.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .metrics import LatencyParams, SimStats, avg_read_latency, avg_rw_latency, hit_ratio
 from .policies import PolicySpec, make_policy
@@ -63,6 +73,48 @@ class ResultRow:
         return {name: getattr(self, name) for name in RESULT_FIELDS}
 
 
+@dataclass(frozen=True)
+class CompiledTrace:
+    """A trace as dense key ids: ``ids[i]`` indexes ``keys``, the distinct
+    keys in first-seen order.  Iterating it yields the ids."""
+
+    ids: array
+    keys: list
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+
+def compile_trace(trace: Iterable) -> CompiledTrace | list:
+    """The trace as a CompiledTrace when every key is exactly ``int`` or
+    every key is exactly ``str``; otherwise a list of its raw keys.
+
+    Other types stay raw because the policies' dicts merge keys that
+    compare equal (1, True, 1.0, np.int64(1)) while the sketch may hash
+    them apart (1.0 as the string "1.0"), so one id for all of them
+    would change outcomes.
+    """
+    if isinstance(trace, CompiledTrace):
+        return trace
+    ids = array("I")
+    index: dict = {}
+    kind = None
+    it = iter(trace)
+    for key in it:
+        if type(key) is not kind:
+            if kind is not None or type(key) not in (int, str):
+                break
+            kind = type(key)
+        ids.append(index.setdefault(key, len(index)))
+    else:
+        return CompiledTrace(ids, list(index))
+    if isinstance(trace, list):
+        return trace
+    # the keys read so far, rebuilt from their ids, then the rest
+    keys = list(index)
+    return [*map(keys.__getitem__, ids), key, *it]
+
+
 def run_single(
     policy_spec: PolicySpec,
     trace: Iterable,
@@ -70,11 +122,22 @@ def run_single(
     trace_id: str = "",
     check_invariants: bool = False,
 ) -> ResultRow:
-    """Replay one trace through one freshly built policy instance."""
+    """Replay one trace through one freshly built policy instance.
+
+    A filtered kind compiles the trace first (``compile_trace``) and
+    binds its distinct keys to the policy, so the sketch hashes each key
+    once.  The other kinds replay what they are given: raw keys, or the
+    ids of a CompiledTrace.
+    """
     latency = latency or LatencyParams()
     if len(latency.level_ns) < policy_spec.n_levels:
         raise ValueError("latency params cover fewer levels than the policy")
+    filtered = policy_spec.kind in _FILTERED_KINDS
+    if filtered:
+        trace = compile_trace(trace)
     policy = make_policy(policy_spec)
+    if filtered and isinstance(trace, CompiledTrace):
+        policy.bind_keys(trace.keys)
     stats = SimStats(policy.n_levels)
     for key in trace:
         stats.add(policy.handle(key))
@@ -83,7 +146,6 @@ def run_single(
     if stats.requests == 0:
         raise ValueError("trace is empty")
     stats.check()
-    filtered = policy_spec.kind in _FILTERED_KINDS
     united = policy_spec.kind == "BiDiFilterUnited"
     return ResultRow(
         trace_id=trace_id,
@@ -176,23 +238,23 @@ def level_capacities_for(
     return tuple(caps)
 
 
-_worker_cell_args: tuple = ()  # (keys, latency, trace_id) in a sweep pool worker
+_worker_cell_args: tuple = ()  # (trace, latency, trace_id) in a sweep pool worker
 
 
-def _share_with_worker(keys: list, latency: LatencyParams, trace_id: str) -> None:
+def _share_with_worker(trace, latency: LatencyParams, trace_id: str) -> None:
     global _worker_cell_args
-    _worker_cell_args = (keys, latency, trace_id)
+    _worker_cell_args = (trace, latency, trace_id)
 
 
 def _run_worker_cell(spec: PolicySpec) -> ResultRow:
-    keys, latency, trace_id = _worker_cell_args
-    return run_single(spec, keys, latency, trace_id=trace_id)
+    trace, latency, trace_id = _worker_cell_args
+    return run_single(spec, trace, latency, trace_id=trace_id)
 
 
 def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
     """All cells of a sweep, in deterministic (policy, percent, ratio) order."""
-    keys = list(open_trace(sweep.trace_source))
-    uniques, accesses = count_uniques(keys)
+    trace = compile_trace(open_trace(sweep.trace_source))
+    uniques, accesses = count_uniques(trace)
     if accesses == 0:
         raise ValueError("trace is empty")
     label = trace_label(sweep.trace_source)
@@ -215,10 +277,10 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_share_with_worker,
-            initargs=(keys, sweep.latency, label),
+            initargs=(trace, sweep.latency, label),
         ) as pool:
             return list(pool.map(_run_worker_cell, specs))
-    return [run_single(spec, keys, sweep.latency, trace_id=label) for spec in specs]
+    return [run_single(spec, trace, sweep.latency, trace_id=label) for spec in specs]
 
 
 def write_rows_csv(rows: Sequence[ResultRow], fh) -> None:

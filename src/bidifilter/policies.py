@@ -193,7 +193,9 @@ class CascadeFilter:
         self.n_levels = len(caps)
         self.tie_break = tie_break
         self._strict = tie_break == "reject"
-        self.sketch = sketch or default_sketch(caps, rng_seed)
+        # bind_keys reaches the sketch through its own reference, which a
+        # stand-in assigned to .sketch from outside leaves in place
+        self.sketch = self._sketch = sketch or default_sketch(caps, rng_seed)
         # when set to a list, every filter evaluation is appended as
         # (candidate, victim, candidate_est, victim_est, admitted)
         self.decision_log = None
@@ -205,6 +207,11 @@ class CascadeFilter:
         self._l2_prob = self.mains[0]._probation
         self._l2_prot = self.mains[0]._protected
         self._deeper = tuple(enumerate(self.mains[1:], start=3))
+
+    def bind_keys(self, keys) -> None:
+        """From now on, take each request as an index into ``keys``, a
+        list of distinct keys; the sketch hashes every key once, here."""
+        self._sketch.bind_keys(keys)
 
     def handle(self, key) -> AccessOutcome:
         self.sketch.record(key)

@@ -105,14 +105,12 @@ class FrequencySketch:
     Python's salted ``hash()``, so estimates are reproducible across
     processes.
 
-    Each key is hashed once per sample window: ``record`` memoizes a key
-    whose type is exactly ``int`` or ``str`` as the tuple of its
-    ``depth`` counter indexes, and later ``record`` and ``estimate``
-    calls on it only read the tuple.  Other types (bool, numpy ints,
-    floats) are hashed on every call, because they compare equal to an
-    int key that they may not hash like (``1.0 == 1``, but 1.0 hashes as
-    the string "1.0").  Only ``record`` fills the memo and ``halve``
-    empties it, so it never holds more than ``sample_size`` keys.
+    A bare sketch hashes its key on every ``record`` and ``estimate``.
+    A replay that knows its distinct keys up front binds them with
+    ``bind_keys``: each key is hashed once, there, and from then on
+    ``record`` and ``estimate`` take the key's index in that list and
+    read its counter indexes from the table.  The table lives as long
+    as the sketch; halving ages the counters and leaves it alone.
 
     ``record_many``/``estimate_many`` are vectorized twins of the scalar
     operations for integer key arrays; they produce bit-identical counter
@@ -134,7 +132,7 @@ class FrequencySketch:
         self._rows = tuple(
             (r * self._width, mix64(_GOLDEN * (r + 1)) | 1) for r in range(self._depth)
         )
-        self._memo: dict = {}  # key -> _slots(key), for int and str keys
+        self._slot_rows = None  # per row, the counter index of each bound key
         self.increments_since_reset = 0
 
     # -- hashing ---------------------------------------------------------
@@ -175,21 +173,45 @@ class FrequencySketch:
 
     # -- scalar operations -------------------------------------------------
 
+    def bind_keys(self, keys) -> None:
+        """Hash every key in ``keys`` once; afterwards ``record`` and
+        ``estimate`` take an index into ``keys`` in place of a key.
+
+        The table holds one array of counter indexes per row, so a bound
+        key costs ``depth`` machine words.  A list of exactly-``int``
+        keys within the int64 range is hashed in one vectorized pass;
+        any other list key by key with ``_base``.  The bulk operations
+        still hash the keys they are given.
+        """
+        bases = None
+        if all(type(key) is int for key in keys):
+            try:
+                bases = self._base_many(np.array(keys, dtype=np.int64))
+            except OverflowError:
+                pass  # an int beyond int64: hash key by key below
+        if bases is None:
+            bases = np.array([self._base(key) for key in keys], dtype=np.uint64)
+        self._slot_rows = tuple(
+            array("q", (off + self._indexes_many(bases, mult)).astype(np.int64).tobytes())
+            for off, mult in self._rows
+        )
+
     def record(self, key) -> None:
         """Count one occurrence of ``key``; ages the sketch every W records."""
-        kind = type(key)
-        if kind is int or kind is str:
-            slots = self._memo.get(key)
-            if slots is None:
-                slots = self._memo[key] = self._slots(key)
-        else:
-            slots = self._slots(key)
         tbl = self._table
         cap = self._cap
-        for i in slots:
-            c = tbl[i]
-            if c < cap:
-                tbl[i] = c + 1
+        rows = self._slot_rows
+        if rows is None:
+            for i in self._slots(key):
+                c = tbl[i]
+                if c < cap:
+                    tbl[i] = c + 1
+        else:
+            for row in rows:
+                i = row[key]
+                c = tbl[i]
+                if c < cap:
+                    tbl[i] = c + 1
         self.increments_since_reset += 1
         if self.increments_since_reset >= self.config.sample_size:
             self.halve()
@@ -197,22 +219,24 @@ class FrequencySketch:
 
     def estimate(self, key) -> int:
         """Minimum counter over the key's rows; never mutates state."""
-        kind = type(key)
-        slots = self._memo.get(key) if kind is int or kind is str else None
-        if slots is None:
-            slots = self._slots(key)  # not memoized: only records fill the memo
         tbl = self._table
         best = self._cap
-        for i in slots:
-            c = tbl[i]
-            if c < best:
-                best = c
+        rows = self._slot_rows
+        if rows is None:
+            for i in self._slots(key):
+                c = tbl[i]
+                if c < best:
+                    best = c
+        else:
+            for row in rows:
+                c = tbl[row[key]]
+                if c < best:
+                    best = c
         return best
 
     def halve(self) -> None:
-        """Age every counter by floor division by two; empties the slot memo."""
+        """Age every counter by floor division by two."""
         self._view()[:] >>= 1
-        self._memo.clear()
 
     def _view(self) -> np.ndarray:
         return np.frombuffer(self._table, dtype=np.dtype(self._table.typecode))

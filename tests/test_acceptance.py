@@ -7,8 +7,11 @@ module-scoped fixtures.
 """
 
 import math
+import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +30,7 @@ from bidifilter import (
     SyntheticSpec,
     avg_read_latency,
     avg_rw_latency,
+    compile_trace,
     generate_synthetic,
     hit_at_level,
     hit_ratio,
@@ -264,34 +268,42 @@ def test_write_savings_vs_demote(write_gap_rows, capsys):
 
 # --- 6: window-fraction crossover ---------------------------------------------
 
+def _crossover_diff(recency):
+    """l1hits(wf=1) - l1hits(wf=0) on check 6's trace at one recency."""
+    spec = SyntheticSpec(length=10**6, ground_set=10**5, skew=0.5,
+                         recency=recency, rng_seed=606)
+    trace = compile_trace(generate_synthetic(spec))
+    uniques = len(trace.keys)
+    l2 = max(1, round(0.5 * uniques))
+    l1 = max(1, round(0.1 * l2))
+    l1_hits = {}
+    for wf in (1.0, 0.0):
+        row = run_single(
+            PolicySpec("BiDiFilter", (l1, l2), window_fraction=wf, rng_seed=0),
+            trace,
+        )
+        l1_hits[wf] = row.h_l1_window + row.h_l1_veterans
+    return l1_hits[1.0] - l1_hits[0.0]
+
+
 def test_window_fraction_crossover(capsys):
     # sweeping recency, the L1-hit curves of a pure window (wf=1) and a
-    # pure veterans space (wf=0) must cross somewhere
+    # pure veterans space (wf=0) must cross somewhere; the 11 independent
+    # traces replay in parallel, one per worker process
     t0 = time.perf_counter()
-    diffs = []
-    for tenths in range(11):
-        recency = tenths / 10
-        spec = SyntheticSpec(length=10**6, ground_set=10**5, skew=0.5,
-                             recency=recency, rng_seed=606)
-        keys = list(generate_synthetic(spec))
-        uniques = len(set(keys))
-        l2 = max(1, round(0.5 * uniques))
-        l1 = max(1, round(0.1 * l2))
-        l1_hits = {}
-        for wf in (1.0, 0.0):
-            row = run_single(
-                PolicySpec("BiDiFilter", (l1, l2), window_fraction=wf, rng_seed=0),
-                keys,
-            )
-            l1_hits[wf] = row.h_l1_window + row.h_l1_veterans
-        diffs.append(l1_hits[1.0] - l1_hits[0.0])
+    recencies = [tenths / 10 for tenths in range(11)]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(recencies), cpus)
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        diffs = list(pool.map(_crossover_diff, recencies))
     signs = [d for d in diffs if d != 0]
     crossed = any(a * b < 0 for a, b in zip(signs, signs[1:]))
     elapsed = time.perf_counter() - t0
     pattern = "".join("+" if d > 0 else "-" if d < 0 else "0" for d in diffs)
     _emit(capsys, 6, "window-fraction crossover", crossed,
           f"sign(l1hits(wf=1)-l1hits(wf=0)) over recency 0.0..1.0 = {pattern}, "
-          f"{elapsed:.0f}s")
+          f"{elapsed:.0f}s on {workers} workers")
     assert crossed, f"no sign change in {diffs}"
 
 

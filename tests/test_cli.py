@@ -145,6 +145,20 @@ def test_run_deep_hierarchy_needs_latency(capsys):
     assert code == 0
 
 
+def test_deep_hierarchy_error_names_latency_and_its_length(capsys):
+    for argv, given in (
+        (["run", "--levels", "3"], "the default covers 2 levels"),
+        (["sweep", "--levels", "4", "--latency", "1,2,3,4"], "4 given"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--synthetic", SYN)
+        levels = int(argv[2])
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: --levels {levels} needs --latency with {levels + 1} values, "
+            f"t_l1,...,t_l{levels},t_miss in ns; {given}\n"
+        )
+
+
 def test_run_rejects_out_of_range_geometry(capsys):
     for knob, value in (("--l2-pct", "0"), ("--l2-pct", "1.5"), ("--l1-ratio", "1.0")):
         code, out, err = run_cli(capsys, "run", "--synthetic", SYN, knob, value)

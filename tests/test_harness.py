@@ -5,17 +5,22 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bidifilter import (
     KINDS,
     RESULT_FIELDS,
+    CompiledTrace,
     LatencyParams,
     PolicySpec,
     ResultRow,
+    SimStats,
     SweepSpec,
     SyntheticSpec,
+    compile_trace,
     level_capacities_for,
+    make_policy,
     run_single,
     run_sweep,
     trace_label,
@@ -211,6 +216,67 @@ def test_run_sweep_empty_trace_errors(tmp_path):
     trace.write_text("# nothing but comments\n\n")
     with pytest.raises(ValueError):
         run_sweep(sweep_fixture(trace_source=str(trace)))
+
+
+def _trace_source(kind, tmp_path):
+    if kind == "int":
+        return SMALL
+    rnd = random.Random(kind)
+    path = tmp_path / f"{kind}.trace"
+    if kind == "str":  # one unsized access per line: "obj#0" keys
+        path.write_text("".join(f"obj{rnd.randint(0, 150)}\n" for _ in range(3_000)))
+    else:  # key,size_bytes lines: several chunk keys per access
+        path.write_text("".join(
+            f"obj{rnd.randint(0, 60)},{rnd.randint(0, 20_000)}\n" for _ in range(800)
+        ))
+    return str(path)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", ["int", "str", "file"])
+def test_compiled_ids_give_the_rows_of_raw_keys(kind, jobs, monkeypatch, tmp_path):
+    source = _trace_source(kind, tmp_path)
+    assert isinstance(compile_trace(open_trace(source)), CompiledTrace)
+    n_levels = 2 if kind == "file" else 3
+    kinds = [k for k in KINDS if n_levels == 2 or k != "BiDiFilterUnited"]
+    sweep = sweep_fixture(
+        trace_source=source,
+        policies=tuple(PolicySpec(k, (1, 1), window_fraction=wf, tie_break=tie)
+                       for k in kinds for wf, tie in ((0.0, "admit"), (0.5, "reject"))),
+        n_levels=n_levels,
+        latency=LatencyParams((100.0, 200_000.0, 500_000.0)),
+    )
+    with monkeypatch.context() as patch:
+        # compile nothing: every cell replays the raw keys
+        patch.setattr(harness, "compile_trace", list)
+        raw = run_sweep(sweep, jobs=1)
+    assert run_sweep(sweep, jobs=jobs) == raw
+
+
+def test_mixed_key_types_replay_raw_keys():
+    # 1, True, 1.0 and np.int64(1) are one key to the policies' dicts, but
+    # the sketch hashes 1.0 as the string "1.0": such a trace must not be
+    # compiled, and its first int keys must survive the attempt
+    rnd = random.Random(12)
+    mixed = [rnd.randint(0, 30) for _ in range(200)] + [
+        rnd.choice((1, True, 1.0, np.int64(1), "1", 2, 2.0, rnd.randint(0, 30)))
+        for _ in range(2_000)
+    ]
+    assert compile_trace(mixed) is mixed
+    again = compile_trace(iter(mixed))
+    assert again == mixed and list(map(type, again)) == list(map(type, mixed))
+    for wf, tie in ((0.0, "admit"), (0.5, "reject")):
+        spec = PolicySpec("BiDiFilter", (4, 12), window_fraction=wf, tie_break=tie,
+                          rng_seed=5)
+        policy = make_policy(spec)  # a bare sketch, hashing every raw key
+        stats = SimStats(2)
+        for key in mixed:
+            stats.add(policy.handle(key))
+        row = run_single(spec, iter(mixed))
+        assert (row.h_l1_window, row.h_l1_veterans, row.h_l2, row.misses,
+                row.w_l1, row.w_l2) == (
+            stats.h_l1_window, stats.h_l1_veterans, stats.hits_at(2),
+            stats.misses, stats.writes_at(1), stats.writes_at(2))
 
 
 def make_row(**overrides):

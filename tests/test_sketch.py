@@ -273,25 +273,27 @@ def test_scalar_ops_match_reference_after_every_record(kind):
             assert sk.estimate(key) == estimate, (trial, step, key)
 
 
-def test_slot_memo_is_bounded_by_the_sample_window():
-    cfg = SketchConfig(sample_size=50, tracked_capacity=5)
-    sk = FrequencySketch(cfg, seed=1)
-    sizes, halvings = [], 0
-    for k in range(3 * cfg.sample_size):  # every key distinct
-        sk.record(k if k % 2 else f"s{k}")
-        sizes.append(len(sk._memo))
-        if sk.increments_since_reset == 0:
-            halvings += 1
-            assert not sk._memo  # emptied by the halving
-    assert halvings == 3
-    assert max(sizes) == cfg.sample_size - 1
-    # estimates read the memo but never add to it; keys of other types
-    # than exactly int or str never enter it
-    for k in range(10):
-        sk.record(k)
-    for key in [*range(100, 200), True, np.int64(3), 1.0]:
-        sk.estimate(key)
-    sk.record(True)
-    sk.record(np.int64(12))
-    sk.record(2.0)
-    assert sorted(sk._memo) == list(range(10))
+def test_slot_table_matches_scalar_slots():
+    # int keys are hashed in one vectorized pass, negative ints included;
+    # a list with an int beyond int64 and a list of str keys key by key
+    cfg = SketchConfig(sample_size=50, tracked_capacity=5, depth=4, width=64)
+    key_lists = [
+        [*range(-300, 300), 2**63 - 1, -(2**63)],
+        [5, -7, 2**63, 2**70 + 1, -(2**65), 0],
+        ["a", "chunk#3", "é", "", "1"],
+        [],
+    ]
+    rnd = random.Random(8)
+    for keys in key_lists:
+        bound = FrequencySketch(cfg, seed=9)
+        bound.bind_keys(keys)
+        assert list(zip(*bound._slot_rows)) == [bound._slots(k) for k in keys]
+        # recording and estimating by index is recording the key itself
+        bare = FrequencySketch(cfg, seed=9)
+        for _ in range(3 * cfg.sample_size if keys else 0):
+            i = rnd.randrange(len(keys))
+            bound.record(i)
+            bare.record(keys[i])
+            j = rnd.randrange(len(keys))
+            assert bound.estimate(j) == bare.estimate(keys[j])
+        assert (bound.counters == bare.counters).all()
