@@ -1,13 +1,12 @@
 """Trace replay and parameter sweeps over policies and cache geometries.
 
-A trace whose keys are all exactly ``int`` or all exactly ``str`` can be
-compiled (``compile_trace``): each distinct key gets a dense id in
-first-seen order, and the trace becomes an ``array`` of ids plus one
-list of the distinct keys.  A filtered policy replays a compiled trace
-with its sketch bound to that list, so each distinct key is hashed
-once per cell, into a slot table indexed by id.  Ids give the same rows
-as the keys they stand for; a trace of any other key types replays its
-raw keys.
+A trace is compiled (``compile_trace``) before a filtered policy replays
+it: each distinct key gets a dense id in first-seen order, and the trace
+becomes an ``array`` of ids plus one list of the distinct keys.  Keys
+that compare equal (1, True, 1.0, np.int64(1)) share one id, as they
+share one entry in the policies' dicts, and the key seen first stands
+for it.  The policy's sketch is bound to that list, so each distinct key
+is hashed once per cell, into a slot table indexed by id.
 
 A sweep reads and compiles its trace once, and every (policy, geometry)
 cell replays the compiled trace; under ``jobs > 1`` each worker process
@@ -24,7 +23,7 @@ import csv
 import json
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -34,13 +33,6 @@ from .sketch import derive_seed
 from .workload import SyntheticSpec, count_uniques, generate_synthetic, ingest_trace
 
 _FILTERED_KINDS = ("BiDiFilter", "BiDiFilterUnited")
-
-RESULT_FIELDS = (
-    "trace_id", "policy_name", "l2_capacity", "l1_capacity",
-    "window_fraction", "tie_break", "requests", "h_l1_window",
-    "h_l1_veterans", "h_l2", "misses", "w_l1", "w_l2", "hit_ratio",
-    "avg_read_latency_ns", "avg_rw_latency_ns", "rng_seed",
-)
 
 
 @dataclass(frozen=True)
@@ -73,6 +65,9 @@ class ResultRow:
         return {name: getattr(self, name) for name in RESULT_FIELDS}
 
 
+RESULT_FIELDS = tuple(field.name for field in fields(ResultRow))
+
+
 @dataclass(frozen=True)
 class CompiledTrace:
     """A trace as dense key ids: ``ids[i]`` indexes ``keys``, the distinct
@@ -85,34 +80,20 @@ class CompiledTrace:
         return iter(self.ids)
 
 
-def compile_trace(trace: Iterable) -> CompiledTrace | list:
-    """The trace as a CompiledTrace when every key is exactly ``int`` or
-    every key is exactly ``str``; otherwise a list of its raw keys.
+def compile_trace(trace: Iterable) -> CompiledTrace:
+    """The trace as dense key ids, handed out in first-seen order.
 
-    Other types stay raw because the policies' dicts merge keys that
-    compare equal (1, True, 1.0, np.int64(1)) while the sketch may hash
-    them apart (1.0 as the string "1.0"), so one id for all of them
-    would change outcomes.
+    Keys that compare equal get one id, and the first of them seen is
+    the id's key, so a prefix of a trace gets the ids it would get if
+    compiled alone.  A CompiledTrace is returned as it is.
     """
     if isinstance(trace, CompiledTrace):
         return trace
     ids = array("I")
     index: dict = {}
-    kind = None
-    it = iter(trace)
-    for key in it:
-        if type(key) is not kind:
-            if kind is not None or type(key) not in (int, str):
-                break
-            kind = type(key)
+    for key in trace:
         ids.append(index.setdefault(key, len(index)))
-    else:
-        return CompiledTrace(ids, list(index))
-    if isinstance(trace, list):
-        return trace
-    # the keys read so far, rebuilt from their ids, then the rest
-    keys = list(index)
-    return [*map(keys.__getitem__, ids), key, *it]
+    return CompiledTrace(ids, list(index))
 
 
 def run_single(
@@ -124,19 +105,18 @@ def run_single(
 ) -> ResultRow:
     """Replay one trace through one freshly built policy instance.
 
-    A filtered kind compiles the trace first (``compile_trace``) and
-    binds its distinct keys to the policy, so the sketch hashes each key
-    once.  The other kinds replay what they are given: raw keys, or the
-    ids of a CompiledTrace.
+    A filtered kind compiles the trace (``compile_trace``) and binds its
+    distinct keys to the policy, so the sketch hashes each key once.
+    The other kinds replay what they are given: raw keys, or the ids of
+    a CompiledTrace.
     """
     latency = latency or LatencyParams()
     if len(latency.level_ns) < policy_spec.n_levels:
         raise ValueError("latency params cover fewer levels than the policy")
     filtered = policy_spec.kind in _FILTERED_KINDS
+    policy = make_policy(policy_spec)
     if filtered:
         trace = compile_trace(trace)
-    policy = make_policy(policy_spec)
-    if filtered and isinstance(trace, CompiledTrace):
         policy.bind_keys(trace.keys)
     stats = SimStats(policy.n_levels)
     for key in trace:
@@ -252,7 +232,13 @@ def _run_worker_cell(spec: PolicySpec) -> ResultRow:
 
 
 def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
-    """All cells of a sweep, in deterministic (policy, percent, ratio) order."""
+    """All cells of a sweep, in deterministic (policy, percent, ratio) order.
+
+    ``jobs`` bounds the worker processes; a sweep starts at most one per
+    cell, and none when it runs serially.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     trace = compile_trace(open_trace(sweep.trace_source))
     uniques, accesses = count_uniques(trace)
     if accesses == 0:
@@ -271,11 +257,12 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
                 )
                 specs.append(spec)
                 index += 1
-    if jobs > 1:
+    workers = min(jobs, len(specs))
+    if workers > 1:
         # each worker receives the trace once, at start-up (inherited
         # under fork); a task carries only its PolicySpec
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_share_with_worker,
             initargs=(trace, sweep.latency, label),
         ) as pool:

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .sketch import mix64
+from .spaces import PROTECTED_FRACTION
 
 
 def exact_counts(keys: Iterable) -> Counter:
@@ -77,6 +78,12 @@ def reference_filter_outcomes(
     Restates the Window/Veterans L1 over SLRU levels 2..N with every space
     a python list (index 0 is the eviction end).  ``sketch`` must be fresh
     and built like the policy's own; it is recorded into as the keys go by.
+
+    It matches the engine only when keys that compare equal also hash
+    alike in the sketch: a hit here re-appends the requesting object,
+    where the engine keeps the one already cached.  Compiling guarantees
+    it: ``harness.compile_trace`` stands one key for every class of equal
+    keys, so feed the reference ``trace.keys[i]`` for each id.
     """
     if len(level_capacities) < 2 or min(level_capacities) < 1:
         raise ValueError("need at least two levels, each of capacity >= 1")
@@ -87,7 +94,8 @@ def reference_filter_outcomes(
     # L1 spaces are plain LRU, which is an SLRU whose protected part is empty
     window = [window_cap, [], [], 0]
     veterans = [level_capacities[0] - window_cap, [], [], 0]
-    mains = [[c, [], [], math.ceil(0.8 * c)] for c in level_capacities[1:]]
+    mains = [[c, [], [], math.ceil(PROTECTED_FRACTION * c)]
+             for c in level_capacities[1:]]
     levels = [None, None] + mains  # levels[n] is the space of level n >= 2
     top = veterans if veterans[0] > 0 else window  # where L2 hits promote to
 

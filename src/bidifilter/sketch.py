@@ -87,30 +87,29 @@ class SketchConfig:
         return -(-self.sample_size // self.tracked_capacity)
 
     @classmethod
-    def for_capacity(cls, capacity: int, depth: int = 4, counter_bits: int = 4) -> "SketchConfig":
-        """Default geometry for a cache of ``capacity`` items: W = 10 * C."""
-        return cls(
-            sample_size=10 * capacity,
-            tracked_capacity=capacity,
-            depth=depth,
-            counter_bits=counter_bits,
-        )
+    def for_capacity(cls, capacity: int) -> "SketchConfig":
+        """Default geometry for a cache of ``capacity`` items: W = 10 * C,
+        the default depth and counter width."""
+        return cls(sample_size=10 * capacity, tracked_capacity=capacity)
 
 
 class FrequencySketch:
     """Count-min sketch with saturating counters and periodic halving.
 
     Keys may be ints, Python or numpy alike (hashed with a splitmix64-style
-    mixer), or strings (hashed with keyed blake2b).  Neither path touches
-    Python's salted ``hash()``, so estimates are reproducible across
-    processes.
+    mixer), or strings (hashed with keyed blake2b); any other key hashes
+    as its ``str()``.  Neither path touches Python's salted ``hash()``, so
+    estimates are reproducible across processes.  Keys that compare equal
+    can hash apart (1 and 1.0 as "1.0").
 
     A bare sketch hashes its key on every ``record`` and ``estimate``.
-    A replay that knows its distinct keys up front binds them with
-    ``bind_keys``: each key is hashed once, there, and from then on
-    ``record`` and ``estimate`` take the key's index in that list and
-    read its counter indexes from the table.  The table lives as long
-    as the sketch; halving ages the counters and leaves it alone.
+    A replay binds its distinct keys up front with ``bind_keys``: each
+    key is hashed once, there, and from then on ``record`` and
+    ``estimate`` take the key's index in that list and read its counter
+    indexes from the table.  The harness binds one key per class of
+    equal keys (``harness.compile_trace``), so the sketch counts them as
+    the one key the cache treats them as.  The table lives as long as
+    the sketch; halving ages the counters and leaves it alone.
 
     ``record_many``/``estimate_many`` are vectorized twins of the scalar
     operations for integer key arrays; they produce bit-identical counter

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 
+PROTECTED_FRACTION = 0.8  # share of an SlruSpace's capacity that is protected
+
 
 class LruSpace:
     """Plain LRU order over hashable keys. Victim is the least recent."""
@@ -57,20 +59,17 @@ class LruSpace:
 class SlruSpace:
     """Segmented LRU: new keys enter probation, hits move them to protected.
 
-    The protected segment is bounded by ceil(protected_fraction * capacity);
+    The protected segment is bounded by ceil(PROTECTED_FRACTION * capacity);
     overflow demotes its LRU member back to probation MRU.  Victims come
     from probation first, falling back to protected only when probation
     is empty.
     """
 
-    def __init__(self, capacity: int, protected_fraction: float = 0.8):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if not 0.0 <= protected_fraction <= 1.0:
-            raise ValueError("protected_fraction must be in [0, 1]")
         self.capacity = capacity
-        self.protected_fraction = protected_fraction
-        self.protected_capacity = math.ceil(protected_fraction * capacity)
+        self.protected_capacity = math.ceil(PROTECTED_FRACTION * capacity)
         self.insert_count = 0
         self._probation: OrderedDict = OrderedDict()
         self._protected: OrderedDict = OrderedDict()

@@ -191,6 +191,13 @@ def test_sweep_jobs_match_serial(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "sweep", "--synthetic", SYN, "--jobs", jobs)
+    assert code == 1 and out == ""
+    assert "jobs" in err
+
+
 def test_sweep_unknown_policy_errors(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--synthetic", SYN, "--policy", "BiDiFilter,Bogus",

@@ -1,9 +1,12 @@
+import collections
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ import pytest
 from bidifilter import (
     KINDS,
     RESULT_FIELDS,
-    CompiledTrace,
     LatencyParams,
     PolicySpec,
     ResultRow,
@@ -30,6 +32,8 @@ from bidifilter import (
 )
 from bidifilter import harness
 from bidifilter.harness import open_trace
+from bidifilter.oracles import reference_filter_outcomes
+from bidifilter.policies import default_sketch
 from bidifilter.sketch import derive_seed
 from bidifilter.workload import count_uniques
 
@@ -186,6 +190,48 @@ def test_run_sweep_reads_the_trace_once(jobs, monkeypatch, tmp_path):
     assert sorted(log.read_text().split()) == ["count_uniques", "open_trace"]
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_sweep_rejects_jobs_below_one(jobs, monkeypatch):
+    def untouchable(source):
+        raise AssertionError("trace was opened before jobs was checked")
+
+    monkeypatch.setattr(harness, "open_trace", untouchable)
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(sweep_fixture(), jobs=jobs)
+
+
+def test_run_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for the process pool: notes its size, runs in-process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_worker_cell_args", ())
+    sweep = sweep_fixture()  # 4 cells
+    serial = run_sweep(sweep, jobs=1)
+    for jobs in (2, 4, 64):
+        assert run_sweep(sweep, jobs=jobs) == serial
+    assert started == [2, 4, 4]
+    one_cell = sweep_fixture(policies=(PolicySpec("Demote", (1, 1)),),
+                             l2_size_percents=(0.1,))
+    assert run_sweep(one_cell, jobs=8) == run_sweep(one_cell, jobs=1)
+    assert started == [2, 4, 4]  # a single cell runs serially
+
+
 def test_run_sweep_n_levels_geometry():
     rows = run_sweep(sweep_fixture(policies=(PolicySpec("BiDiFilter", (1, 1)),),
                                    l2_size_percents=(0.2,), l1_ratios=(0.5,),
@@ -232,11 +278,27 @@ def _trace_source(kind, tmp_path):
     return str(path)
 
 
+def _bare_counts(spec, keys):
+    """Row counts of a bare make_policy(spec) replay: raw keys, a sketch
+    hashing every key afresh."""
+    policy = make_policy(spec)
+    stats = SimStats(policy.n_levels)
+    for key in keys:
+        stats.add(policy.handle(key))
+    return (stats.requests, stats.h_l1_window, stats.h_l1_veterans,
+            stats.hits_at(2), stats.misses, stats.writes_at(1), stats.writes_at(2))
+
+
+def _row_counts(row):
+    return (row.requests, row.h_l1_window, row.h_l1_veterans, row.h_l2,
+            row.misses, row.w_l1, row.w_l2)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("kind", ["int", "str", "file"])
-def test_compiled_ids_give_the_rows_of_raw_keys(kind, jobs, monkeypatch, tmp_path):
+def test_compiled_ids_give_the_rows_of_raw_keys(kind, jobs, tmp_path):
     source = _trace_source(kind, tmp_path)
-    assert isinstance(compile_trace(open_trace(source)), CompiledTrace)
+    keys = list(open_trace(source))
     n_levels = 2 if kind == "file" else 3
     kinds = [k for k in KINDS if n_levels == 2 or k != "BiDiFilterUnited"]
     sweep = sweep_fixture(
@@ -246,37 +308,58 @@ def test_compiled_ids_give_the_rows_of_raw_keys(kind, jobs, monkeypatch, tmp_pat
         n_levels=n_levels,
         latency=LatencyParams((100.0, 200_000.0, 500_000.0)),
     )
-    with monkeypatch.context() as patch:
-        # compile nothing: every cell replays the raw keys
-        patch.setattr(harness, "compile_trace", list)
-        raw = run_sweep(sweep, jobs=1)
-    assert run_sweep(sweep, jobs=jobs) == raw
+    rows = run_sweep(sweep, jobs=jobs)
+    templates = [t for t in sweep.policies
+                 for _ in sweep.l2_size_percents for _ in sweep.l1_ratios]
+    geometry = [level_capacities_for(len(set(keys)), pct, ratio, n_levels)
+                for pct in sweep.l2_size_percents for ratio in sweep.l1_ratios]
+    assert len(rows) == len(templates)
+    # numpy ints are the same keys as the Python ints they equal
+    np_keys = [np.int64(k) for k in keys] if kind == "int" else None
+    for row, template, caps in zip(rows, templates, geometry * len(sweep.policies)):
+        spec = replace(template, level_capacities=caps, rng_seed=row.rng_seed)
+        assert (row.l1_capacity, row.l2_capacity) == caps[:2]
+        assert _row_counts(row) == _bare_counts(spec, keys), spec
+        if np_keys is not None:
+            assert run_single(spec, np_keys, sweep.latency, row.trace_id) == row
 
 
-def test_mixed_key_types_replay_raw_keys():
-    # 1, True, 1.0 and np.int64(1) are one key to the policies' dicts, but
-    # the sketch hashes 1.0 as the string "1.0": such a trace must not be
-    # compiled, and its first int keys must survive the attempt
+def test_equal_keys_of_mixed_types_share_one_id():
+    # 1, True, 1.0 and np.int64(1) are one key to the policies' dicts, and
+    # compile to one id whose key is the object seen first; "1" is another
     rnd = random.Random(12)
     mixed = [rnd.randint(0, 30) for _ in range(200)] + [
         rnd.choice((1, True, 1.0, np.int64(1), "1", 2, 2.0, rnd.randint(0, 30)))
         for _ in range(2_000)
     ]
-    assert compile_trace(mixed) is mixed
-    again = compile_trace(iter(mixed))
-    assert again == mixed and list(map(type, again)) == list(map(type, mixed))
+    for source in (mixed, iter(mixed)):
+        trace = compile_trace(source)
+        assert len(trace.ids) == len(mixed)
+        assert all(a != b for a, b in itertools.combinations(trace.keys, 2))
+        seen = 0
+        for key, i in zip(mixed, trace.ids):
+            assert trace.keys[i] == key
+            if i == seen:  # a new id: the object that brought it stands for it
+                assert trace.keys[i] is key
+                seen += 1
+            assert i < seen
+        assert seen == len(trace.keys)
+    first_seen = [trace.keys[i] for i in trace.ids]
     for wf, tie in ((0.0, "admit"), (0.5, "reject")):
-        spec = PolicySpec("BiDiFilter", (4, 12), window_fraction=wf, tie_break=tie,
+        caps = (4, 12)
+        spec = PolicySpec("BiDiFilter", caps, window_fraction=wf, tie_break=tie,
                           rng_seed=5)
-        policy = make_policy(spec)  # a bare sketch, hashing every raw key
-        stats = SimStats(2)
-        for key in mixed:
-            stats.add(policy.handle(key))
         row = run_single(spec, iter(mixed))
-        assert (row.h_l1_window, row.h_l1_veterans, row.h_l2, row.misses,
-                row.w_l1, row.w_l2) == (
-            stats.h_l1_window, stats.h_l1_veterans, stats.hits_at(2),
-            stats.misses, stats.writes_at(1), stats.writes_at(2))
+        outcomes = reference_filter_outcomes(
+            first_seen, caps, default_sketch(caps, spec.rng_seed), wf, tie)
+        kinds = collections.Counter(kind for kind, _ in outcomes)
+        writes = collections.Counter()
+        for _, out in outcomes:
+            for level, n in out:
+                writes[level] += n
+        assert _row_counts(row) == (
+            len(outcomes), kinds["hit_l1_window"], kinds["hit_l1_veterans"],
+            kinds["hit_l2"], kinds["miss"], writes[1], writes[2])
 
 
 def make_row(**overrides):
