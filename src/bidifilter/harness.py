@@ -101,14 +101,15 @@ def run_single(
     trace: Iterable,
     latency: LatencyParams | None = None,
     trace_id: str = "",
-    check_invariants: bool = False,
 ) -> ResultRow:
     """Replay one trace through one freshly built policy instance.
 
     A filtered kind compiles the trace (``compile_trace``) and binds its
     distinct keys to the policy, so the sketch hashes each key once.
     The other kinds replay what they are given: raw keys, or the ids of
-    a CompiledTrace.
+    a CompiledTrace.  Per request the loop only handles and counts, and
+    the counts are checked once, at the end; a policy's own invariants
+    (``check_invariants``) are left to callers that replay it themselves.
     """
     latency = latency or LatencyParams()
     if len(latency.level_ns) < policy_spec.n_levels:
@@ -121,8 +122,6 @@ def run_single(
     stats = SimStats(policy.n_levels)
     for key in trace:
         stats.add(policy.handle(key))
-        if check_invariants:
-            policy.check_invariants()
     if stats.requests == 0:
         raise ValueError("trace is empty")
     stats.check()

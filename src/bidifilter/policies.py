@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 from .sketch import FrequencySketch, SketchConfig, mix64
@@ -79,13 +80,24 @@ _HIT_VETERANS = AccessOutcome(HIT_L1_VETERANS)
 
 
 def _check_level_capacities(level_capacities) -> tuple[int, ...]:
-    """The capacities as a tuple: at least two levels, each of at least 1."""
+    """The capacities as Python ints: at least two levels, each an integer >= 1."""
     caps = tuple(level_capacities)
     if len(caps) < 2:
         raise ValueError("need at least two cache levels")
-    if any(c < 1 for c in caps):
-        raise ValueError("every level capacity must be >= 1")
-    return caps
+    if not all(isinstance(c, Integral) and c >= 1 for c in caps):
+        raise ValueError(f"every level capacity must be an integer >= 1, got {caps}")
+    return tuple(map(int, caps))
+
+
+def _check_exclusive(spaces) -> None:
+    """Check each space, and that no key occupies more than one of them."""
+    union = set()
+    total = 0
+    for sp in spaces:
+        sp.check()
+        union.update(sp.keys())
+        total += len(sp)
+    assert len(union) == total, "a key occupies more than one space"
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,8 @@ class PolicySpec:
         object.__setattr__(
             self, "level_capacities", _check_level_capacities(self.level_capacities)
         )
+        if self.kind == "BiDiFilterUnited" and self.n_levels != 2:
+            raise ValueError("BiDiFilterUnited supports exactly two levels")
         if not 0.0 <= self.window_fraction <= 1.0:
             raise ValueError("window_fraction must be in [0, 1]")
         if self.tie_break not in ("admit", "reject"):
@@ -162,13 +176,15 @@ def make_policy(spec: PolicySpec):
 class CascadeFilter:
     """The filtered policy: a Window/Veterans L1 over SLRU levels 2..N.
 
-    A filter sits between every adjacent pair of levels.  Misses insert
-    at the top; each admitted candidate's displaced victim becomes the
-    candidate at the next level down, and the bottom level's displaced
-    victim leaves the cache.  A hit at level i is a filtered promotion
-    into level i-1 (Veterans, or the window when there are no Veterans,
-    for i = 2) whose displaced victim demotes into the slot the hit just
-    vacated.
+    A filter sits between every adjacent pair of levels.  A miss inserts
+    at the top, and what it displaces walks down (``_admit_down``): a
+    winning candidate's displaced victim is the next level's candidate,
+    and a loser or the bottom level's victim leaves the cache.  Without
+    a window the missed key contests Veterans, and a veteran it displaces
+    takes its first hop, into L2, unfiltered.  A hit at level i is a
+    filtered promotion into level i-1 (Veterans, or the window when
+    there are no Veterans, for i = 2) whose displaced victim demotes
+    into the slot the hit just vacated.
     """
 
     def __init__(
@@ -197,7 +213,8 @@ class CascadeFilter:
         # stand-in assigned to .sketch from outside leaves in place
         self.sketch = self._sketch = sketch or default_sketch(caps, rng_seed)
         # when set to a list, every filter evaluation is appended as
-        # (candidate, victim, candidate_est, victim_est, admitted)
+        # (candidate, victim, candidate_est, victim_est, admitted); after
+        # bind_keys, candidate and victim are dense key ids, not keys
         self.decision_log = None
         # L2 hits promote into Veterans, or into the window if there are none
         self._top = self.veterans if self.veterans.capacity > 0 else self.window
@@ -246,25 +263,24 @@ class CascadeFilter:
             self.window.insert(key)
             writes.append((1, 1))
             if candidate is not None:
-                self._cascade_admit(candidate, 2, writes)
+                self._admit_down(candidate, 2, writes)
+        elif len(self.veterans) < self.veterans.capacity:
+            self.veterans.insert(key)
+            writes.append((1, 1))
+        elif self._wins(key, victim := self.veterans.peek_victim()):
+            # no window: the missed key took a veteran's slot, and the
+            # displaced veteran enters L2 unfiltered
+            self.veterans.remove(victim)
+            self.veterans.insert(key)
+            writes.append((1, 1))
+            self._admit_down(victim, 2, writes, contested=False)
         else:
-            # no window: the missed key itself competes for Veterans
-            if len(self.veterans) < self.veterans.capacity:
-                self.veterans.insert(key)
-                writes.append((1, 1))
-            else:
-                victim = self.veterans.peek_victim()
-                if self._wins(key, victim):
-                    self.veterans.remove(victim)
-                    self.veterans.insert(key)
-                    writes.append((1, 1))
-                    self._force_demote(victim, 2, writes)
-                else:
-                    self._cascade_admit(key, 2, writes)
+            self._admit_down(key, 2, writes)
         return AccessOutcome(MISS, tuple(writes))
 
-    def _cascade_admit(self, candidate, level, writes) -> None:
-        # filtered admission at `level`; displaced victims continue down
+    def _admit_down(self, candidate, level, writes, contested=True) -> None:
+        # each hop is filtered, the first only if `contested`; a displaced
+        # victim walks on down, a rejected candidate leaves the cache
         while level <= self.n_levels:
             space = self.mains[level - 2]
             if len(space) < space.capacity:
@@ -272,28 +288,14 @@ class CascadeFilter:
                 writes.append((level, 1))
                 return
             victim = space.peek_victim()
-            if not self._wins(candidate, victim):
-                return  # rejected candidates are dropped, not pushed down
+            if contested and not self._wins(candidate, victim):
+                return
+            contested = True
             space.remove(victim)
             space.insert(candidate)
             writes.append((level, 1))
             candidate = victim
             level += 1
-        # fell past the bottom level: the last victim leaves the cache
-
-    def _force_demote(self, item, level, writes) -> None:
-        # unconditional demotion (displaced Veterans victim); whatever it
-        # displaces gets a fair filtered run further down
-        space = self.mains[level - 2]
-        if len(space) < space.capacity:
-            space.insert(item)
-            writes.append((level, 1))
-            return
-        victim = space.peek_victim()
-        space.remove(victim)
-        space.insert(item)
-        writes.append((level, 1))
-        self._cascade_admit(victim, level + 1, writes)
 
     def _on_deep_hit(self, key, level: int) -> AccessOutcome:
         src = self.mains[level - 2]
@@ -317,15 +319,7 @@ class CascadeFilter:
         return AccessOutcome(hit_at_level(level), tuple(writes))
 
     def check_invariants(self) -> None:
-        self.window.check()
-        self.veterans.check()
-        union = set(self.window.keys()) | set(self.veterans.keys())
-        total = len(self.window) + len(self.veterans)
-        for sp in self.mains:
-            sp.check()
-            union.update(sp.keys())
-            total += len(sp)
-        assert len(union) == total, "a key occupies more than one space"
+        _check_exclusive((self.window, self.veterans, *self.mains))
 
 
 class BiDiFilter(CascadeFilter):
@@ -412,13 +406,7 @@ class Promote:
             item = victim
 
     def check_invariants(self) -> None:
-        union = set()
-        total = 0
-        for sp in self.levels:
-            sp.check()
-            union.update(sp.keys())
-            total += len(sp)
-        assert len(union) == total
+        _check_exclusive(self.levels)
 
 
 class Demote(Promote):

@@ -177,18 +177,18 @@ class FrequencySketch:
         ``estimate`` take an index into ``keys`` in place of a key.
 
         The table holds one array of counter indexes per row, so a bound
-        key costs ``depth`` machine words.  A list of exactly-``int``
-        keys within the int64 range is hashed in one vectorized pass;
-        any other list key by key with ``_base``.  The bulk operations
-        still hash the keys they are given.
+        key costs ``depth`` machine words.  A list whose first key is an
+        int, Python or numpy, and that numpy reads as one signed or
+        unsigned integer array is hashed in one vectorized pass; any
+        other list key by key with ``_base``.  The bulk operations still
+        hash the keys they are given.
         """
-        bases = None
-        if all(type(key) is int for key in keys):
-            try:
-                bases = self._base_many(np.array(keys, dtype=np.int64))
-            except OverflowError:
-                pass  # an int beyond int64: hash key by key below
-        if bases is None:
+        arr = None
+        if len(keys) and isinstance(keys[0], (int, np.integer)):
+            arr = np.asarray(keys)
+        if arr is not None and arr.dtype.kind in "iu":
+            bases = self._base_many(arr)
+        else:
             bases = np.array([self._base(key) for key in keys], dtype=np.uint64)
         self._slot_rows = tuple(
             array("q", (off + self._indexes_many(bases, mult)).astype(np.int64).tobytes())

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bidifilter import harness
 from bidifilter.cli import _parse_latency, _parse_synthetic, build_parser, main
 from bidifilter.harness import RESULT_FIELDS
 
@@ -204,6 +205,21 @@ def test_sweep_unknown_policy_errors(capsys):
     )
     assert code == 1
     assert "Bogus" in err
+
+
+def test_sweep_refuses_deep_united_before_any_replay(capsys, monkeypatch):
+    def no_replay(*args, **kwargs):
+        raise AssertionError("a cell was replayed")
+
+    monkeypatch.setattr(harness, "run_single", no_replay)
+    code, out, err = run_cli(
+        capsys, "sweep", "--synthetic", SYN,
+        "--policy", "BiDiFilter,BiDiFilterUnited", "--levels", "3",
+        "--latency", "100,1000,10000,100000", "--l2-pct", "0.1,0.5,1.0",
+        "--l1-ratio", "0.1,0.2",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: BiDiFilterUnited supports exactly two levels\n"
 
 
 def test_out_file_csv_and_jsonl(tmp_path, capsys):

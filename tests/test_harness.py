@@ -42,7 +42,7 @@ SMALL = SyntheticSpec(length=4000, ground_set=120, skew=0.8, recency=0.3, rng_se
 
 def test_run_single_fields_and_closure():
     spec = PolicySpec("BiDiFilter", (8, 24), rng_seed=3)
-    row = run_single(spec, open_trace(SMALL), trace_id="t0", check_invariants=False)
+    row = run_single(spec, open_trace(SMALL), trace_id="t0")
     assert row.trace_id == "t0"
     assert row.policy_name == "BiDiFilter"
     assert row.l1_capacity == 8 and row.l2_capacity == 24
@@ -66,14 +66,6 @@ def test_run_single_marks_inapplicable_knobs_none():
 def test_run_single_rejects_empty_trace():
     with pytest.raises(ValueError):
         run_single(PolicySpec("Demote", (2, 4)), iter(()))
-
-
-def test_run_single_invariant_mode_matches_fast_mode():
-    spec = PolicySpec("BiDiFilter", (4, 12), rng_seed=1)
-    small = SyntheticSpec(length=800, ground_set=50, skew=0.7, recency=0.2, rng_seed=2)
-    a = run_single(spec, open_trace(small), check_invariants=True)
-    b = run_single(spec, open_trace(small), check_invariants=False)
-    assert a == b
 
 
 def test_run_single_checks_latency_depth_before_replay():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from bidifilter import (
@@ -55,8 +56,24 @@ def test_policyspec_validation():
         PolicySpec(kind="BiDiFilter", level_capacities=(2, 4), tie_break="maybe")
     with pytest.raises(ValueError):
         PolicySpec(kind="Promote", level_capacities=(2, 4), promote_prob=-0.1)
-    with pytest.raises(ValueError):
-        make_policy(PolicySpec(kind="BiDiFilterUnited", level_capacities=(2, 4, 8)))
+    with pytest.raises(ValueError, match="exactly two levels"):
+        PolicySpec(kind="BiDiFilterUnited", level_capacities=(2, 4, 8))
+    for caps in ((2, 4.5), (2.0, 4), (2, 4, 8.0), (2, "4")):
+        for kind in ("Demote", "BiDiFilter"):
+            with pytest.raises(ValueError, match="integer"):
+                PolicySpec(kind=kind, level_capacities=caps)
+    spec = PolicySpec("BiDiFilter", (np.int64(2), np.uint32(4)))
+    assert spec.level_capacities == (2, 4)
+    assert all(type(c) is int for c in spec.level_capacities)
+
+
+def test_engine_constructors_reject_bad_capacities():
+    engines = (CascadeFilter, BiDiFilter, BiDiFilterUnited, Promote, Demote, NaiveLRU)
+    for engine in engines:
+        for caps in ((2, 4.5), (2.0, 4), (2, 0), (4,)):
+            with pytest.raises(ValueError):
+                engine(caps)
+        assert engine((np.int64(2), np.int64(4))).n_levels == 2
 
 
 def test_make_policy_kinds():
@@ -244,6 +261,26 @@ def test_cascade_rejected_candidate_is_dropped():
     pol.handle("c")   # b ties a at L2: rejected, never reaches L3
     assert "b" not in pol.mains[0] and "b" not in pol.mains[1]
     assert len(pol.mains[1]) == 0
+
+
+def test_cascade_window_zero_refilters_below_the_forced_hop():
+    # with no window, a veteran displaced by a missed key enters L2
+    # unfiltered, but what it displaces there is filtered into L3 again
+    pol = CascadeFilter((1, 1, 1), window_fraction=0.0, tie_break="reject",
+                        sketch=wide_sketch(3, seed=3))
+    run(pol, "aab")            # a: veterans at est 2; b loses to a, fills L2
+    pol.handle("c")            # loses to a, ties b at L2 at 1: dropped
+    out = pol.handle("c")      # ties a at 2, beats b (2 > 1); b fills L3
+    assert out == AccessOutcome(MISS, ((2, 1), (3, 1)))
+    out = pol.handle("b")      # L3 hit ties c at 2: stays in L3
+    assert out == AccessOutcome(hit_at_level(3))
+    assert run(pol, "dd") == [AccessOutcome(MISS)] * 2  # loses to a, then c
+    out = pol.handle("d")      # est 3 > 2: d takes a's veterans slot
+    # a enters L2 unfiltered though it only ties c there; c then ties
+    # L3's b at 2 and is dropped
+    assert out == AccessOutcome(MISS, ((1, 1), (2, 1)))
+    assert list(pol.veterans.keys()) == ["d"]
+    assert [list(space.keys()) for space in pol.mains] == [["a"], ["b"]]
 
 
 def test_cascade_n2_matches_bidifilter_exactly():

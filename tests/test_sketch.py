@@ -274,14 +274,22 @@ def test_scalar_ops_match_reference_after_every_record(kind):
 
 
 def test_slot_table_matches_scalar_slots():
-    # int keys are hashed in one vectorized pass, negative ints included;
-    # a list with an int beyond int64 and a list of str keys key by key
+    # int keys, Python or numpy, that numpy reads as one integer array are
+    # hashed in one vectorized pass, negative and unsigned ones included;
+    # lists numpy reads as float or object, and str keys, key by key
     cfg = SketchConfig(sample_size=50, tracked_capacity=5, depth=4, width=64)
     key_lists = [
         [*range(-300, 300), 2**63 - 1, -(2**63)],
         [5, -7, 2**63, 2**70 + 1, -(2**65), 0],
         ["a", "chunk#3", "é", "", "1"],
         [],
+        [np.int64(k) for k in (-5, 0, 7, 2**63 - 1, -(2**63))],
+        [np.uint64(2**63), np.uint64(2**64 - 1), np.uint64(3)],
+        [2**63, 2**64 - 1, 1],
+        [1, np.int64(-2), 3, np.int64(2**40)],
+        [np.int8(-1), np.int8(5)],
+        [-1, 2**63],
+        [3, 2.5, -1],
     ]
     rnd = random.Random(8)
     for keys in key_lists:
