@@ -120,8 +120,9 @@ def run_single(
         trace = compile_trace(trace)
         policy.bind_keys(trace.keys)
     stats = SimStats(policy.n_levels)
+    add, handle = stats.add, policy.handle
     for key in trace:
-        stats.add(policy.handle(key))
+        add(handle(key))
     if stats.requests == 0:
         raise ValueError("trace is empty")
     stats.check()

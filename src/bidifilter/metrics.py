@@ -1,15 +1,18 @@
 """Per-simulation counters and the latency model derived from them.
 
-Latency numerators are accumulated exactly (integer arithmetic whenever
-the configured latencies are whole nanoseconds) and divided once at the
-end, so results are reproducible to the last bit.
+A replay's counters are a histogram of its outcomes: ``SimStats.add``
+counts each ``AccessOutcome`` once, and hits and writes per level are
+read off the histogram at the end.  Latency numerators are accumulated
+exactly (integer arithmetic whenever the configured latencies are whole
+nanoseconds) and divided once at the end, so results are reproducible
+to the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .policies import HIT_L1_VETERANS, HIT_L1_WINDOW, MISS, AccessOutcome
+from .policies import HIT_L1_VETERANS, HIT_L1_WINDOW, MISS, AccessOutcome, hit_at_level
 
 
 @dataclass(frozen=True)
@@ -33,54 +36,78 @@ FAST_MISS_LATENCY = LatencyParams(level_ns=(2.0, 200_000.0), miss_ns=100.0)
 
 
 class SimStats:
-    """Counters for one simulated trace replay."""
+    """A histogram of the outcomes of one simulated trace replay.
 
-    __slots__ = ("n_levels", "requests", "misses", "h_l1_window", "h_l1_veterans",
-                 "_h_deep", "_w_level")
+    ``counts`` maps each distinct ``AccessOutcome`` to the number of
+    requests that had it; ``add`` only counts.  Requests, misses, hits
+    and writes per level are read off the histogram, and ``check``
+    refuses a histogram holding an outcome it cannot place.
+    """
+
+    __slots__ = ("n_levels", "counts")
 
     def __init__(self, n_levels: int):
         if n_levels < 1:
             raise ValueError("n_levels must be >= 1")
         self.n_levels = n_levels
-        self.requests = 0
-        self.misses = 0
-        self.h_l1_window = 0
-        self.h_l1_veterans = 0
-        self._h_deep = [0] * (n_levels + 1)  # indexed by level, 0/1 unused
-        self._w_level = [0] * (n_levels + 1)
+        self.counts: dict[AccessOutcome, int] = {}
 
     def add(self, outcome: AccessOutcome) -> None:
-        self.requests += 1
-        c = outcome.classification
-        if c == MISS:
-            self.misses += 1
-        elif c == HIT_L1_WINDOW:
-            self.h_l1_window += 1
-        elif c == HIT_L1_VETERANS:
-            self.h_l1_veterans += 1
-        else:
-            self._h_deep[int(c[5:])] += 1  # "hit_l<i>"
-        for level, count in outcome.writes:
-            self._w_level[level] += count
+        counts = self.counts
+        counts[outcome] = counts.get(outcome, 0) + 1
+
+    def _tally(self, classification: str) -> int:
+        return sum(n for o, n in self.counts.items() if o.classification == classification)
+
+    @property
+    def requests(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def misses(self) -> int:
+        return self._tally(MISS)
+
+    @property
+    def h_l1_window(self) -> int:
+        return self._tally(HIT_L1_WINDOW)
+
+    @property
+    def h_l1_veterans(self) -> int:
+        return self._tally(HIT_L1_VETERANS)
 
     def hits_at(self, level: int) -> int:
         if not 1 <= level <= self.n_levels:
             raise ValueError(f"no such level: {level}")
         if level == 1:
             return self.h_l1_window + self.h_l1_veterans
-        return self._h_deep[level]
+        return self._tally(hit_at_level(level))
 
     def writes_at(self, level: int) -> int:
         if not 1 <= level <= self.n_levels:
             raise ValueError(f"no such level: {level}")
-        return self._w_level[level]
+        return sum(n * count for o, n in self.counts.items()
+                   for at, count in o.writes if at == level)
 
     @property
     def total_hits(self) -> int:
-        return self.h_l1_window + self.h_l1_veterans + sum(self._h_deep)
+        return sum(self.hits_at(level) for level in range(1, self.n_levels + 1))
 
     def check(self) -> None:
-        assert self.total_hits + self.misses == self.requests
+        """Raise AssertionError unless every outcome has a known
+        classification and writes only to levels 1..n_levels, and the
+        hits and misses add up to the requests."""
+        known = {MISS, HIT_L1_WINDOW, HIT_L1_VETERANS,
+                 *map(hit_at_level, range(2, self.n_levels + 1))}
+        for outcome in self.counts:
+            if outcome.classification not in known:
+                raise AssertionError(
+                    f"cannot place {outcome.classification!r} at {self.n_levels} levels")
+            for at, _ in outcome.writes:
+                if not 1 <= at <= self.n_levels:
+                    raise AssertionError(
+                        f"write at level {at} outside 1..{self.n_levels}")
+        if self.total_hits + self.misses != self.requests:
+            raise AssertionError("hits and misses do not add up to the requests")
 
 
 def _exact(x: float):

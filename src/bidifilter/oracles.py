@@ -3,8 +3,8 @@
 Everything here favors obviousness over speed: exact counting by
 scanning, LRU as a python list, the filtered policy and the chained-LRU
 baselines with every space a python list, the count-min sketch with one
-list per row and every access hashed afresh, Zipf probabilities by
-direct summation.
+list per row and every access hashed afresh, replay counters by a pass
+over the list of outcomes, Zipf probabilities by direct summation.
 The test suite checks the fast paths against these.
 """
 
@@ -318,6 +318,30 @@ def reference_sketch_counters(
         estimate = min(row[i] for row, i in zip(rows, where))
         snapshots.append((tuple(tuple(row) for row in rows), estimate))
     return snapshots
+
+
+def reference_outcome_tally(outcomes: Sequence, n_levels: int) -> dict:
+    """The counters ``SimStats`` reports, by one plain pass over a list of
+    ``(classification, writes)`` outcomes.
+
+    ``hits`` and ``writes`` are lists indexed by level - 1.  A
+    classification is parsed from its text: ``"miss"``, the two L1
+    buckets, or ``"hit_l<i>"`` for the hit level ``i``.
+    """
+    tally = {"requests": 0, "misses": 0, "h_l1_window": 0, "h_l1_veterans": 0,
+             "hits": [0] * n_levels, "writes": [0] * n_levels}
+    for classification, writes in outcomes:
+        tally["requests"] += 1
+        if classification == "miss":
+            tally["misses"] += 1
+        elif classification in ("hit_l1_window", "hit_l1_veterans"):
+            tally["h_" + classification[4:]] += 1
+            tally["hits"][0] += 1
+        else:
+            tally["hits"][int(classification.removeprefix("hit_l")) - 1] += 1
+        for level, count in writes:
+            tally["writes"][level - 1] += count
+    return tally
 
 
 def exact_zipf_probabilities(ground_set: int, skew: float) -> list[float]:

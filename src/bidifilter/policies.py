@@ -28,7 +28,11 @@ restates the scheme with python lists as the tests' reference.
 Writes are accounted per level: an insert into a level coming from
 outside that level costs one write; recency updates within a level are
 free.  ``AccessOutcome`` carries the request classification plus the
-writes it caused, so a simulation can price traffic exactly.
+writes it caused, so a simulation can price traffic exactly.  The
+writes of one request land on a contiguous run of levels, one each, so
+every engine interns its outcomes: it builds them all once, when it is
+constructed, in tables indexed by the last level a request wrote, and
+handling a request returns a table entry without allocating.
 
 Baselines: one unfiltered engine, ``Promote``, chains plain LRU levels
 and moves keys between them by coin flips (promote a deep hit with
@@ -77,6 +81,11 @@ class AccessOutcome(NamedTuple):
 
 _HIT_WINDOW = AccessOutcome(HIT_L1_WINDOW)
 _HIT_VETERANS = AccessOutcome(HIT_L1_VETERANS)
+
+
+def _run(first: int, last: int) -> tuple[tuple[int, int], ...]:
+    """One write at each level from ``first`` to ``last``; empty if last < first."""
+    return tuple((level, 1) for level in range(first, last + 1))
 
 
 def _check_level_capacities(level_capacities) -> tuple[int, ...]:
@@ -185,6 +194,11 @@ class CascadeFilter:
     filtered promotion into level i-1 (Veterans, or the window when
     there are no Veterans, for i = 2) whose displaced victim demotes
     into the slot the hit just vacated.
+
+    Outcomes are interned per engine: a miss writes a run of levels
+    from L1 (or from L2, when the missed key itself walks down) to the
+    last level ``_admit_down`` reports, and a hit at level i writes
+    nothing, level i-1, or levels i-1 and i.
     """
 
     def __init__(
@@ -224,6 +238,17 @@ class CascadeFilter:
         self._l2_prob = self.mains[0]._probation
         self._l2_prot = self.mains[0]._protected
         self._deeper = tuple(enumerate(self.mains[1:], start=3))
+        # interned outcomes: misses indexed by the last level written,
+        # deep hits by level, then (touched, promoted, promoted and swapped)
+        levels = range(self.n_levels + 1)
+        self._misses_from_l1 = tuple(AccessOutcome(MISS, _run(1, last)) for last in levels)
+        self._misses_from_l2 = tuple(AccessOutcome(MISS, _run(2, last)) for last in levels)
+        self._deep_hits = tuple(
+            tuple(AccessOutcome(hit_at_level(level), _run(level - 1, level - 2 + moved))
+                  for moved in range(3))
+            if level >= 2 else ()
+            for level in levels
+        )
 
     def bind_keys(self, keys) -> None:
         """From now on, take each request as an index into ``keys``, a
@@ -254,69 +279,62 @@ class CascadeFilter:
         return admitted
 
     def _on_miss(self, key) -> AccessOutcome:
-        writes = []
         if self.window.capacity > 0:
             candidate = None
             if len(self.window) >= self.window.capacity:
                 candidate = self.window.peek_victim()
                 self.window.remove(candidate)
             self.window.insert(key)
-            writes.append((1, 1))
-            if candidate is not None:
-                self._admit_down(candidate, 2, writes)
-        elif len(self.veterans) < self.veterans.capacity:
+            if candidate is None:
+                return self._misses_from_l1[1]
+            return self._misses_from_l1[self._admit_down(candidate, 2)]
+        if len(self.veterans) < self.veterans.capacity:
             self.veterans.insert(key)
-            writes.append((1, 1))
-        elif self._wins(key, victim := self.veterans.peek_victim()):
+            return self._misses_from_l1[1]
+        if self._wins(key, victim := self.veterans.peek_victim()):
             # no window: the missed key took a veteran's slot, and the
             # displaced veteran enters L2 unfiltered
             self.veterans.remove(victim)
             self.veterans.insert(key)
-            writes.append((1, 1))
-            self._admit_down(victim, 2, writes, contested=False)
-        else:
-            self._admit_down(key, 2, writes)
-        return AccessOutcome(MISS, tuple(writes))
+            return self._misses_from_l1[self._admit_down(victim, 2, contested=False)]
+        return self._misses_from_l2[self._admit_down(key, 2)]
 
-    def _admit_down(self, candidate, level, writes, contested=True) -> None:
+    def _admit_down(self, candidate, level, contested=True) -> int:
         # each hop is filtered, the first only if `contested`; a displaced
-        # victim walks on down, a rejected candidate leaves the cache
+        # victim walks on down, a rejected candidate leaves the cache.
+        # Returns the last level written, level - 1 if none was.
         while level <= self.n_levels:
             space = self.mains[level - 2]
             if len(space) < space.capacity:
                 space.insert(candidate)
-                writes.append((level, 1))
-                return
+                return level
             victim = space.peek_victim()
             if contested and not self._wins(candidate, victim):
-                return
+                return level - 1
             contested = True
             space.remove(victim)
             space.insert(candidate)
-            writes.append((level, 1))
             candidate = victim
             level += 1
+        return self.n_levels
 
     def _on_deep_hit(self, key, level: int) -> AccessOutcome:
         src = self.mains[level - 2]
         target = self._top if level == 2 else self.mains[level - 3]
-        writes = []
+        touched, promoted, swapped = self._deep_hits[level]
         if len(target) < target.capacity:
             src.remove(key)
             target.insert(key)
-            writes.append((level - 1, 1))
-        else:
-            victim = target.peek_victim()
-            if self._wins(key, victim):
-                src.remove(key)
-                target.remove(victim)
-                target.insert(key)
-                writes.append((level - 1, 1))
-                src.insert(victim)  # slot freed by the promotion
-                writes.append((level, 1))
-            else:
-                src.touch(key)
-        return AccessOutcome(hit_at_level(level), tuple(writes))
+            return promoted
+        victim = target.peek_victim()
+        if self._wins(key, victim):
+            src.remove(key)
+            target.remove(victim)
+            target.insert(key)
+            src.insert(victim)  # slot freed by the promotion
+            return swapped
+        src.touch(key)
+        return touched
 
     def check_invariants(self) -> None:
         _check_exclusive((self.window, self.veterans, *self.mains))
@@ -353,6 +371,10 @@ class Promote:
     deep hit, then one draw per demotion hop, top down.  When both
     probabilities are 0 or 1 no draw can change an outcome, and none is
     made.
+
+    Outcomes are interned per engine: every insert starts at L1 and
+    cascades down, so a request writes levels 1 to the last level
+    ``_push_top`` reports, or nothing for a hit refreshed in place.
     """
 
     def __init__(self, level_capacities, *, promote_prob=0.5, demote_prob=0.5, rng_seed=0):
@@ -363,10 +385,17 @@ class Promote:
             raise ValueError("demote_prob must be in [0, 1]")
         self.levels = tuple(LruSpace(c) for c in caps)
         self.n_levels = len(caps)
-        # a hit refreshed in place writes nothing: one shared outcome per level
-        self._hits_in_place = (_HIT_WINDOW,) + tuple(
-            AccessOutcome(hit_at_level(n)) for n in range(2, len(caps) + 1)
+        # interned outcomes, indexed by the last level written (0 for a
+        # hit refreshed in place); the hits by level first
+        levels = range(self.n_levels + 1)
+        labels = (HIT_L1_WINDOW, *map(hit_at_level, levels[2:]))
+        self._misses = tuple(AccessOutcome(MISS, _run(1, last)) for last in levels)
+        self._hits = ((),) + tuple(
+            tuple(AccessOutcome(label, _run(1, last)) for last in levels) for label in labels
         )
+        # membership reads and recency updates bypass the space wrappers
+        # in the hot loop
+        self._chain = tuple((level, sp, sp._od) for level, sp in enumerate(self.levels, start=1))
         self.promote_prob = promote_prob
         self.demote_prob = demote_prob
         self.rng = random.Random(rng_seed)
@@ -376,22 +405,19 @@ class Promote:
         self._coin = itertools.repeat(0.5).__next__ if certain else self.rng.random
 
     def handle(self, key) -> AccessOutcome:
-        for i, space in enumerate(self.levels):
-            if key in space:
-                if i and self._coin() < self.promote_prob:
+        for level, space, od in self._chain:
+            if key in od:
+                if level > 1 and self._coin() < self.promote_prob:
                     space.remove(key)
-                    writes = []
-                    self._push_top(key, writes)
-                    return AccessOutcome(hit_at_level(i + 1), tuple(writes))
-                space.touch(key)
-                return self._hits_in_place[i]
-        writes = []
-        self._push_top(key, writes)
-        return AccessOutcome(MISS, tuple(writes))
+                    return self._hits[level][self._push_top(key)]
+                od.move_to_end(key)
+                return self._hits[level][0]
+        return self._misses[self._push_top(key)]
 
-    def _push_top(self, key, writes) -> None:
+    def _push_top(self, key) -> int:
         # insert at L1 MRU; each overflow victim moves one level down if the
-        # demotion coin lets it, else it leaves the cache
+        # demotion coin lets it, else it leaves the cache.  Returns the
+        # last level written.
         item = key
         coin, demote_prob = self._coin, self.demote_prob
         for level, space in enumerate(self.levels, start=1):
@@ -400,10 +426,10 @@ class Promote:
                 victim = space.peek_victim()
                 space.remove(victim)
             space.insert(item)
-            writes.append((level, 1))
             if victim is None or coin() >= demote_prob:
-                return
+                return level
             item = victim
+        return self.n_levels
 
     def check_invariants(self) -> None:
         _check_exclusive(self.levels)

@@ -4,6 +4,12 @@ A count-min matrix of small saturating counters, aged by halving every
 ``sample_size`` increments so estimates track the recent past instead of
 the whole history.  Estimates never undercount within a sample window;
 hash collisions can only inflate them.
+
+Counts are stored unsaturated and capped wherever they are read, so a
+record is one plain increment per row.  Capping on read gives the same
+observable state as saturating on write, since ``min(min(u, cap) + 1,
+cap) == min(u + 1, cap)`` for any count ``u``, and halving caps before
+it shifts.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -51,6 +58,8 @@ class SketchConfig:
         sample_size it fixes the counter saturation cap ceil(W/C).
     width: counters per row: a power of two >= C, by default the smallest.
     counter_bits: cap must fit in this many bits.
+
+    Every field is an integer; numpy integers are stored as Python ints.
     """
 
     sample_size: int
@@ -60,6 +69,13 @@ class SketchConfig:
     counter_bits: int = 4
 
     def __post_init__(self):
+        for name in ("sample_size", "tracked_capacity", "depth", "width", "counter_bits"):
+            value = getattr(self, name)
+            if value is None and name == "width":
+                continue
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
         if self.tracked_capacity < 1:
@@ -96,6 +112,12 @@ class SketchConfig:
 class FrequencySketch:
     """Count-min sketch with saturating counters and periodic halving.
 
+    The counter table is a flat list of Python ints holding unsaturated
+    counts: ``record`` adds one per row, and every read (``estimate``,
+    ``counters``, ``halve``, the bulk operations) caps what it reads, so
+    what can be observed is the saturating sketch's state exactly.
+    Between halvings a count grows by at most ``sample_size``.
+
     Keys may be ints, Python or numpy alike (hashed with a splitmix64-style
     mixer), or strings (hashed with keyed blake2b); any other key hashes
     as its ``str()``.  Neither path touches Python's salted ``hash()``, so
@@ -122,10 +144,14 @@ class FrequencySketch:
         self._seed = mix64(seed)
         self._seed_bytes = self._seed.to_bytes(8, "little")
         self._cap = config.counter_cap
+        self._sample_size = config.sample_size
         self._width = config.width
         self._depth = config.depth
-        typecode = "B" if self._cap <= 0xFF else ("H" if self._cap <= 0xFFFF else "Q")
-        self._table = array(typecode, [0]) * (self._depth * self._width)
+        # ``counters`` reports the narrowest unsigned type that holds the cap
+        self._dtype = np.dtype(
+            np.uint8 if self._cap <= 0xFF else (np.uint16 if self._cap <= 0xFFFF else np.uint64)
+        )
+        self._table = [0] * (self._depth * self._width)  # unsaturated counts
         self._mask = self._width - 1
         # (row offset, odd multiplier) per row; multipliers are fixed constants
         self._rows = tuple(
@@ -198,21 +224,15 @@ class FrequencySketch:
     def record(self, key) -> None:
         """Count one occurrence of ``key``; ages the sketch every W records."""
         tbl = self._table
-        cap = self._cap
         rows = self._slot_rows
         if rows is None:
             for i in self._slots(key):
-                c = tbl[i]
-                if c < cap:
-                    tbl[i] = c + 1
+                tbl[i] += 1
         else:
             for row in rows:
-                i = row[key]
-                c = tbl[i]
-                if c < cap:
-                    tbl[i] = c + 1
+                tbl[row[key]] += 1
         self.increments_since_reset += 1
-        if self.increments_since_reset >= self.config.sample_size:
+        if self.increments_since_reset >= self._sample_size:
             self.halve()
             self.increments_since_reset = 0
 
@@ -234,16 +254,18 @@ class FrequencySketch:
         return best
 
     def halve(self) -> None:
-        """Age every counter by floor division by two."""
-        self._view()[:] >>= 1
+        """Age every counter: cap it, then floor-divide by two."""
+        cap = self._cap
+        self._table = [(c if c < cap else cap) >> 1 for c in self._table]
 
-    def _view(self) -> np.ndarray:
-        return np.frombuffer(self._table, dtype=np.dtype(self._table.typecode))
+    def _capped(self) -> np.ndarray:
+        """The counter table as a flat int64 array, every count capped."""
+        return np.minimum(np.array(self._table, dtype=np.int64), self._cap)
 
     @property
     def counters(self) -> np.ndarray:
         """Read-only (depth, width) snapshot of the counter matrix."""
-        snap = self._view().reshape(self._depth, self._width).copy()
+        snap = self._capped().astype(self._dtype).reshape(self._depth, self._width)
         snap.flags.writeable = False
         return snap
 
@@ -257,24 +279,25 @@ class FrequencySketch:
         if not np.issubdtype(arr.dtype, np.integer):
             raise TypeError("record_many accepts integer keys only")
         bases = self._base_many(arr)
-        view = self._view()
+        view = self._capped()
         cap = self._cap
         n = len(bases)
         pos = 0
         while pos < n:
-            room = self.config.sample_size - self.increments_since_reset
+            room = self._sample_size - self.increments_since_reset
             take = min(room, n - pos)
             chunk = bases[pos : pos + take]
             for off, mult in self._rows:
                 idx = self._indexes_many(chunk, mult)
                 counts = np.bincount(idx, minlength=self._width)
                 row = view[off : off + self._width]
-                np.minimum(row + counts, cap, out=row, casting="unsafe")
+                np.minimum(row + counts, cap, out=row)
             self.increments_since_reset += take
             pos += take
-            if self.increments_since_reset >= self.config.sample_size:
-                self.halve()
+            if self.increments_since_reset >= self._sample_size:
+                view >>= 1  # every count is capped already
                 self.increments_since_reset = 0
+        self._table = view.tolist()
 
     def estimate_many(self, keys) -> np.ndarray:
         """Vectorized estimate for a batch of integer keys."""
@@ -282,7 +305,7 @@ class FrequencySketch:
         if not np.issubdtype(arr.dtype, np.integer):
             raise TypeError("estimate_many accepts integer keys only")
         bases = self._base_many(arr)
-        view = self._view()
+        view = self._capped()
         best = None
         for off, mult in self._rows:
             vals = view[off + self._indexes_many(bases, mult)]

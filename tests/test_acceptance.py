@@ -337,8 +337,7 @@ def _stats_from(h_l1=0, h_l2=0, h_l3=0, misses=0, w_l1=0, w_l2=0, w_l3=0,
 def _billion_l1_hits():
     # integer accumulation must survive counts far beyond float32 territory
     stats = SimStats(2)
-    stats.requests = 10**9
-    stats.h_l1_window = 10**9
+    stats.counts[AccessOutcome(HIT_L1_WINDOW)] = 10**9
     return stats
 
 

@@ -14,6 +14,7 @@ from bidifilter import (
     hit_at_level,
     hit_ratio,
 )
+from bidifilter.oracles import reference_outcome_tally
 from bidifilter.policies import HIT_L1_VETERANS, HIT_L1_WINDOW, HIT_L2, MISS
 
 
@@ -68,6 +69,62 @@ def test_simstats_level_range_errors():
             s.writes_at(bad)
     with pytest.raises(ValueError):
         SimStats(0)
+
+
+@pytest.mark.parametrize("outcome", [
+    AccessOutcome(MISS, ((0, 1),)),  # a write above L1
+    AccessOutcome("hit_l0"),  # a hit above L1
+    AccessOutcome("hit_l-1", ((-1, 1),)),  # indexes that once landed on L2
+    AccessOutcome(hit_at_level(3)),  # a hit below the bottom level
+    AccessOutcome(HIT_L2, ((3, 1),)),  # a write below the bottom level
+    AccessOutcome("hit_l2_window"),  # no such bucket
+])
+def test_check_refuses_outcomes_it_cannot_place(outcome):
+    s = SimStats(2)
+    s.add(AccessOutcome(HIT_L2, ((1, 1), (2, 1))))
+    s.add(outcome)
+    with pytest.raises(AssertionError):
+        s.check()
+    # nothing stray is booked to a real level
+    hits = 1 + (outcome.classification == HIT_L2)
+    assert s.total_hits == s.hits_at(1) + s.hits_at(2) == hits
+    assert (s.writes_at(1), s.writes_at(2)) == (1, 1)
+
+
+def _random_outcomes(rnd, n_levels, n):
+    labels = [MISS, HIT_L1_WINDOW, HIT_L1_VETERANS,
+              *(hit_at_level(i) for i in range(2, n_levels + 1))]
+    interned = {}
+    outcomes = []
+    for _ in range(n):
+        levels = sorted(rnd.sample(range(1, n_levels + 1), rnd.randint(0, n_levels)))
+        writes = tuple((level, rnd.choice((1, 1, 2, 3))) for level in levels)
+        outcome = AccessOutcome(rnd.choice(labels), writes)
+        # half the stream reuses one object per outcome, as the engines do
+        if rnd.random() < 0.5:
+            outcome = interned.setdefault(outcome, outcome)
+        outcomes.append(outcome)
+    return outcomes
+
+
+@pytest.mark.parametrize("n_levels", [2, 3, 4])
+def test_histogram_matches_plain_tally(n_levels):
+    rnd = random.Random(n_levels)
+    for trial in range(20):
+        outcomes = _random_outcomes(rnd, n_levels, rnd.randint(1, 400))
+        s = SimStats(n_levels)
+        for outcome in outcomes:
+            s.add(outcome)
+        s.check()
+        want = reference_outcome_tally(outcomes, n_levels)
+        levels = range(1, n_levels + 1)
+        assert (s.requests, s.misses, s.h_l1_window, s.h_l1_veterans) == (
+            want["requests"], want["misses"], want["h_l1_window"],
+            want["h_l1_veterans"]), trial
+        assert [s.hits_at(level) for level in levels] == want["hits"], trial
+        assert [s.writes_at(level) for level in levels] == want["writes"], trial
+        assert s.total_hits == sum(want["hits"]), trial
+        assert sum(s.counts.values()) == len(outcomes)
 
 
 def test_empty_stats_refuse_ratios():
@@ -170,8 +227,7 @@ def test_non_integer_latencies_use_float_path():
 def test_big_counts_stay_exact():
     # integer accumulation: a billion L1 hits divide back to exactly 100
     s = SimStats(2)
-    s.requests = 10**9
-    s.h_l1_window = 10**9
+    s.counts[AccessOutcome(HIT_L1_WINDOW)] = 10**9
     assert avg_read_latency(s, LatencyParams()) == 100.0
 
 

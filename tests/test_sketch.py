@@ -31,6 +31,30 @@ def test_config_validation():
         SketchConfig(sample_size=10, tracked_capacity=1, depth=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sample_size", 50.5),
+    ("tracked_capacity", 5.0),
+    ("depth", 2.0),
+    ("width", 64.0),
+    ("counter_bits", 4.0),
+    ("sample_size", "50"),
+])
+def test_config_fields_must_be_integers(field, value):
+    fields = {"sample_size": 50, "tracked_capacity": 5, "depth": 2, "width": 64,
+              "counter_bits": 4, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SketchConfig(**fields)
+
+
+def test_config_takes_numpy_ints_as_python_ints():
+    cfg = SketchConfig(sample_size=np.int64(50), tracked_capacity=np.int32(5),
+                       depth=np.uint8(2), width=np.int64(64), counter_bits=np.int16(4))
+    assert cfg == SketchConfig(50, 5, depth=2, width=64, counter_bits=4)
+    assert all(type(v) is int for v in (cfg.sample_size, cfg.tracked_capacity, cfg.depth,
+                                         cfg.width, cfg.counter_bits, cfg.counter_cap))
+    assert SketchConfig(np.int64(100), np.int64(10)).width == 16
+
+
 def test_default_width_is_pow2_at_least_capacity():
     for c in (1, 2, 3, 5, 16, 100, 1000):
         cfg = SketchConfig.for_capacity(c)
@@ -88,6 +112,34 @@ def test_halve_floor_division():
     assert sk.estimate("a") == 0
     sk.halve()  # idempotent on zero
     assert sk.counters.max() == 0
+
+
+def test_halving_caps_before_it_shifts():
+    # 15 records of one key at cap 10 read as 10, so halving leaves 5
+    sk = FrequencySketch(SketchConfig(sample_size=160, tracked_capacity=16), seed=4)
+    for _ in range(15):
+        sk.record(0)
+    assert sk.estimate(0) == sk.estimate_many(np.array([0]))[0] == 10
+    assert sk.counters.max() == 10
+    sk.halve()
+    assert sk.estimate(0) == 5 and sk.counters.max() == 5
+
+
+def test_bulk_record_continues_from_counts_past_the_cap():
+    # scalar records leave counts above the cap; a batch that crosses the
+    # halving boundary must read them capped
+    cfg = SketchConfig(sample_size=160, tracked_capacity=16)
+    scalar, mixed = FrequencySketch(cfg, seed=4), FrequencySketch(cfg, seed=4)
+    for sk in (scalar, mixed):
+        for _ in range(15):
+            sk.record(0)
+    mixed.record_many(np.zeros(146, dtype=np.int64))
+    for _ in range(146):
+        scalar.record(0)
+    # halved at 160 records from the cap of 10, then one more record
+    assert scalar.increments_since_reset == mixed.increments_since_reset == 1
+    assert (scalar.counters == mixed.counters).all()
+    assert scalar.estimate(0) == mixed.estimate(0) == 6
 
 
 def test_halve_nonincreasing_elementwise():
