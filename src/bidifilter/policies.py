@@ -238,16 +238,16 @@ class CascadeFilter:
         self._l2_prob = self.mains[0]._probation
         self._l2_prot = self.mains[0]._protected
         self._deeper = tuple(enumerate(self.mains[1:], start=3))
-        # interned outcomes: misses indexed by the last level written,
-        # deep hits by level, then (touched, promoted, promoted and swapped)
+        # interned outcomes: misses indexed by the last level written;
+        # deep hits by level - 2, like mains, then (touched, promoted,
+        # promoted and swapped)
         levels = range(self.n_levels + 1)
         self._misses_from_l1 = tuple(AccessOutcome(MISS, _run(1, last)) for last in levels)
         self._misses_from_l2 = tuple(AccessOutcome(MISS, _run(2, last)) for last in levels)
         self._deep_hits = tuple(
             tuple(AccessOutcome(hit_at_level(level), _run(level - 1, level - 2 + moved))
                   for moved in range(3))
-            if level >= 2 else ()
-            for level in levels
+            for level in levels[2:]
         )
 
     def bind_keys(self, keys) -> None:
@@ -321,7 +321,7 @@ class CascadeFilter:
     def _on_deep_hit(self, key, level: int) -> AccessOutcome:
         src = self.mains[level - 2]
         target = self._top if level == 2 else self.mains[level - 3]
-        touched, promoted, swapped = self._deep_hits[level]
+        touched, promoted, swapped = self._deep_hits[level - 2]
         if len(target) < target.capacity:
             src.remove(key)
             target.insert(key)
@@ -386,16 +386,16 @@ class Promote:
         self.levels = tuple(LruSpace(c) for c in caps)
         self.n_levels = len(caps)
         # interned outcomes, indexed by the last level written (0 for a
-        # hit refreshed in place); the hits by level first
+        # hit refreshed in place); hits first by level - 1
         levels = range(self.n_levels + 1)
         labels = (HIT_L1_WINDOW, *map(hit_at_level, levels[2:]))
         self._misses = tuple(AccessOutcome(MISS, _run(1, last)) for last in levels)
-        self._hits = ((),) + tuple(
+        self._hits = tuple(
             tuple(AccessOutcome(label, _run(1, last)) for last in levels) for label in labels
         )
         # membership reads and recency updates bypass the space wrappers
         # in the hot loop
-        self._chain = tuple((level, sp, sp._od) for level, sp in enumerate(self.levels, start=1))
+        self._chain = tuple((i, sp, sp._od) for i, sp in enumerate(self.levels))
         self.promote_prob = promote_prob
         self.demote_prob = demote_prob
         self.rng = random.Random(rng_seed)
@@ -405,13 +405,13 @@ class Promote:
         self._coin = itertools.repeat(0.5).__next__ if certain else self.rng.random
 
     def handle(self, key) -> AccessOutcome:
-        for level, space, od in self._chain:
+        for i, space, od in self._chain:
             if key in od:
-                if level > 1 and self._coin() < self.promote_prob:
+                if i and self._coin() < self.promote_prob:
                     space.remove(key)
-                    return self._hits[level][self._push_top(key)]
+                    return self._hits[i][self._push_top(key)]
                 od.move_to_end(key)
-                return self._hits[level][0]
+                return self._hits[i][0]
         return self._misses[self._push_top(key)]
 
     def _push_top(self, key) -> int:
