@@ -74,7 +74,7 @@ def test_simstats_level_range_errors():
 @pytest.mark.parametrize("outcome", [
     AccessOutcome(MISS, ((0, 1),)),  # a write above L1
     AccessOutcome("hit_l0"),  # a hit above L1
-    AccessOutcome("hit_l-1", ((-1, 1),)),  # indexes that once landed on L2
+    AccessOutcome("hit_l-1", ((-1, 1),)),  # a negative level
     AccessOutcome(hit_at_level(3)),  # a hit below the bottom level
     AccessOutcome(HIT_L2, ((3, 1),)),  # a write below the bottom level
     AccessOutcome("hit_l2_window"),  # no such bucket
