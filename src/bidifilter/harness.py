@@ -107,9 +107,9 @@ def run_single(
     A filtered kind compiles the trace (``compile_trace``) and binds its
     distinct keys to the policy, so the sketch hashes each key once.
     The other kinds replay what they are given: raw keys, or the ids of
-    a CompiledTrace.  Per request the loop only handles and counts, and
-    the counts are checked once, at the end; a policy's own invariants
-    (``check_invariants``) are left to callers that replay it themselves.
+    a CompiledTrace.  The outcomes are counted in one bulk call and
+    checked once, at the end; a policy's own invariants (``check_invariants``)
+    are left to callers that replay it themselves.
     """
     latency = latency or LatencyParams()
     if len(latency.level_ns) < policy_spec.n_levels:
@@ -120,9 +120,7 @@ def run_single(
         trace = compile_trace(trace)
         policy.bind_keys(trace.keys)
     stats = SimStats(policy.n_levels)
-    add, handle = stats.add, policy.handle
-    for key in trace:
-        add(handle(key))
+    stats.add_all(map(policy.handle, trace))
     if stats.requests == 0:
         raise ValueError("trace is empty")
     stats.check()

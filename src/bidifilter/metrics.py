@@ -1,8 +1,8 @@
 """Per-simulation counters and the latency model derived from them.
 
 A replay's counters are a histogram of its outcomes: ``SimStats.add``
-counts each ``AccessOutcome`` once, and hits and writes per level are
-read off the histogram at the end.  Latency numerators are accumulated
+and ``add_all`` count each ``AccessOutcome`` once, and hits and writes
+per level are read off the histogram at the end.  Latency numerators are accumulated
 exactly (integer arithmetic whenever the configured latencies are whole
 nanoseconds) and divided once at the end, so results are reproducible
 to the last bit.
@@ -10,6 +10,7 @@ to the last bit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .policies import HIT_L1_VETERANS, HIT_L1_WINDOW, MISS, AccessOutcome, hit_at_level
@@ -39,9 +40,10 @@ class SimStats:
     """A histogram of the outcomes of one simulated trace replay.
 
     ``counts`` maps each distinct ``AccessOutcome`` to the number of
-    requests that had it; ``add`` only counts.  Requests, misses, hits
-    and writes per level are read off the histogram, and ``check``
-    refuses a histogram holding an outcome it cannot place.
+    requests that had it; ``add`` counts one outcome, ``add_all`` a
+    whole iterable in one call.  Requests, misses, hits and writes per level are read
+    off the histogram, and ``check`` refuses a histogram holding an
+    outcome it cannot place.
     """
 
     __slots__ = ("n_levels", "counts")
@@ -50,11 +52,13 @@ class SimStats:
         if n_levels < 1:
             raise ValueError("n_levels must be >= 1")
         self.n_levels = n_levels
-        self.counts: dict[AccessOutcome, int] = {}
+        self.counts: Counter[AccessOutcome] = Counter()
 
     def add(self, outcome: AccessOutcome) -> None:
-        counts = self.counts
-        counts[outcome] = counts.get(outcome, 0) + 1
+        self.counts[outcome] += 1
+
+    def add_all(self, outcomes) -> None:
+        self.counts.update(outcomes)
 
     def _tally(self, classification: str) -> int:
         return sum(n for o, n in self.counts.items() if o.classification == classification)

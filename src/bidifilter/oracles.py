@@ -20,6 +20,8 @@ import numpy as np
 from .sketch import mix64
 from .spaces import PROTECTED_FRACTION
 
+_NO_VICTIM = object()  # no victim: None is a key like any other
+
 
 def exact_counts(keys: Iterable) -> Counter:
     """True occurrence count of every key, by plain counting."""
@@ -184,12 +186,12 @@ def reference_filter_outcomes(
             outcomes.append((f"hit_l{level}", tuple(writes)))
             continue
         if window[0] > 0:
-            out = victim(window) if full(window) else None
-            if out is not None:
+            out = victim(window) if full(window) else _NO_VICTIM
+            if out is not _NO_VICTIM:
                 remove(window, out)
             insert(window, key)
             writes.append((1, 1))
-            if out is not None:
+            if out is not _NO_VICTIM:
                 admit_down(out, 2, writes)
         elif not full(veterans):
             insert(veterans, key)
@@ -240,10 +242,10 @@ def reference_chain_outcomes(
         # insert at L1; each overflow victim moves one level down if the
         # demotion draw lets it, else it leaves the cache
         for n, (level, cap) in enumerate(zip(levels, level_capacities), start=1):
-            out = level.pop(0) if len(level) >= cap else None
+            out = level.pop(0) if len(level) >= cap else _NO_VICTIM
             level.append(item)
             writes.append((n, 1))
-            if out is None or rng.random() >= demote_prob:
+            if out is _NO_VICTIM or rng.random() >= demote_prob:
                 return
             item = out
 

@@ -53,7 +53,7 @@ from numbers import Integral
 from typing import NamedTuple
 
 from .sketch import FrequencySketch, SketchConfig, mix64
-from .spaces import LruSpace, SlruSpace
+from .spaces import _NO_VICTIM, LruSpace, SlruSpace
 
 MISS = "miss"
 HIT_L1_WINDOW = "hit_l1_window"
@@ -280,22 +280,18 @@ class CascadeFilter:
 
     def _on_miss(self, key) -> AccessOutcome:
         if self.window.capacity > 0:
-            candidate = None
-            if len(self.window) >= self.window.capacity:
-                candidate = self.window.peek_victim()
-                self.window.remove(candidate)
-            self.window.insert(key)
-            if candidate is None:
+            candidate = self.window.push(key)
+            if candidate is _NO_VICTIM:
                 return self._misses_from_l1[1]
             return self._misses_from_l1[self._admit_down(candidate, 2)]
-        if len(self.veterans) < self.veterans.capacity:
+        victim = self.veterans.victim_if_full()
+        if victim is _NO_VICTIM:
             self.veterans.insert(key)
             return self._misses_from_l1[1]
-        if self._wins(key, victim := self.veterans.peek_victim()):
+        if self._wins(key, victim):
             # no window: the missed key took a veteran's slot, and the
             # displaced veteran enters L2 unfiltered
-            self.veterans.remove(victim)
-            self.veterans.insert(key)
+            self.veterans.push(key)
             return self._misses_from_l1[self._admit_down(victim, 2, contested=False)]
         return self._misses_from_l2[self._admit_down(key, 2)]
 
@@ -303,35 +299,30 @@ class CascadeFilter:
         # each hop is filtered, the first only if `contested`; a displaced
         # victim walks on down, a rejected candidate leaves the cache.
         # Returns the last level written, level - 1 if none was.
-        while level <= self.n_levels:
-            space = self.mains[level - 2]
-            if len(space) < space.capacity:
-                space.insert(candidate)
+        for level, space in enumerate(self.mains[level - 2:], start=level):
+            if contested:
+                victim = space.victim_if_full()
+                if victim is not _NO_VICTIM and not self._wins(candidate, victim):
+                    return level - 1
+            candidate = space.push(candidate)
+            if candidate is _NO_VICTIM:
                 return level
-            victim = space.peek_victim()
-            if contested and not self._wins(candidate, victim):
-                return level - 1
             contested = True
-            space.remove(victim)
-            space.insert(candidate)
-            candidate = victim
-            level += 1
         return self.n_levels
 
     def _on_deep_hit(self, key, level: int) -> AccessOutcome:
         src = self.mains[level - 2]
         target = self._top if level == 2 else self.mains[level - 3]
         touched, promoted, swapped = self._deep_hits[level - 2]
-        if len(target) < target.capacity:
+        victim = target.victim_if_full()
+        if victim is _NO_VICTIM:
             src.remove(key)
             target.insert(key)
             return promoted
-        victim = target.peek_victim()
         if self._wins(key, victim):
             src.remove(key)
-            target.remove(victim)
-            target.insert(key)
-            src.insert(victim)  # slot freed by the promotion
+            target.push(key)
+            src.push(victim)  # into the slot the promotion freed
             return swapped
         src.touch(key)
         return touched
@@ -393,9 +384,9 @@ class Promote:
         self._hits = tuple(
             tuple(AccessOutcome(label, _run(1, last)) for last in levels) for label in labels
         )
-        # membership reads and recency updates bypass the space wrappers
-        # in the hot loop
-        self._chain = tuple((i, sp, sp._od) for i, sp in enumerate(self.levels))
+        # membership reads, removals and recency updates bypass the space
+        # wrappers in the hot loop
+        self._chain = tuple(enumerate(sp._od for sp in self.levels))
         self.promote_prob = promote_prob
         self.demote_prob = demote_prob
         self.rng = random.Random(rng_seed)
@@ -405,30 +396,24 @@ class Promote:
         self._coin = itertools.repeat(0.5).__next__ if certain else self.rng.random
 
     def handle(self, key) -> AccessOutcome:
-        for i, space, od in self._chain:
+        for i, od in self._chain:
             if key in od:
                 if i and self._coin() < self.promote_prob:
-                    space.remove(key)
+                    del od[key]
                     return self._hits[i][self._push_top(key)]
                 od.move_to_end(key)
                 return self._hits[i][0]
         return self._misses[self._push_top(key)]
 
-    def _push_top(self, key) -> int:
+    def _push_top(self, item) -> int:
         # insert at L1 MRU; each overflow victim moves one level down if the
         # demotion coin lets it, else it leaves the cache.  Returns the
         # last level written.
-        item = key
         coin, demote_prob = self._coin, self.demote_prob
         for level, space in enumerate(self.levels, start=1):
-            victim = None
-            if len(space) >= space.capacity:
-                victim = space.peek_victim()
-                space.remove(victim)
-            space.insert(item)
-            if victim is None or coin() >= demote_prob:
+            item = space.push(item)
+            if item is _NO_VICTIM or coin() >= demote_prob:
                 return level
-            item = victim
         return self.n_levels
 
     def check_invariants(self) -> None:

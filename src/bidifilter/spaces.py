@@ -1,9 +1,10 @@
 """Bookkeeping for the cache spaces policies are built from.
 
-Spaces track membership and eviction order only; they never evict on
-their own.  Callers must make room (peek_victim + remove) before
-inserting into a full space.  ``insert_count`` tallies every successful
-insert so write accounting can be cross-checked from the outside.
+Spaces track membership and eviction order.  ``push`` inserts a key and,
+in a full space, evicts and returns the victim; ``victim_if_full`` names
+it beforehand.  Both return ``_NO_VICTIM`` for no victim (``None`` is a
+key like any other).  ``insert_count`` tallies every insert so write
+accounting can be cross-checked from the outside.
 """
 
 from __future__ import annotations
@@ -13,8 +14,18 @@ from collections import OrderedDict
 
 PROTECTED_FRACTION = 0.8  # share of an SlruSpace's capacity that is protected
 
+_NO_VICTIM = object()  # no eviction happened, or none would
 
-class LruSpace:
+
+class _Space:
+    def insert(self, key) -> None:
+        """Insert into free room: a full space refuses, where push evicts."""
+        if self.victim_if_full() is not _NO_VICTIM:
+            raise ValueError("space is full; push evicts, insert does not")
+        self.push(key)
+
+
+class LruSpace(_Space):
     """Plain LRU order over hashable keys. Victim is the least recent."""
 
     def __init__(self, capacity: int):
@@ -34,13 +45,19 @@ class LruSpace:
         """Keys from least to most recently used."""
         return iter(self._od)
 
-    def insert(self, key) -> None:
-        if key in self._od:
+    def push(self, key):
+        """Insert at MRU, first evicting and returning the LRU key if full."""
+        od = self._od
+        if key in od:
             raise ValueError(f"key already present: {key!r}")
-        if len(self._od) >= self.capacity:
-            raise ValueError("space is full; evict before inserting")
-        self._od[key] = None
+        victim = _NO_VICTIM
+        if len(od) >= self.capacity:
+            if not self.capacity:
+                raise ValueError("cannot push into a space of capacity 0")
+            victim = od.popitem(last=False)[0]
+        od[key] = None
         self.insert_count += 1
+        return victim
 
     def touch(self, key) -> None:
         self._od.move_to_end(key)  # KeyError if absent, as documented
@@ -48,15 +65,17 @@ class LruSpace:
     def remove(self, key) -> None:
         del self._od[key]
 
-    def peek_victim(self):
-        """Current eviction candidate, or None when empty. Does not mutate."""
-        return next(iter(self._od), None)
+    def victim_if_full(self):
+        """The key ``push`` would evict now, or _NO_VICTIM. Does not mutate."""
+        if len(self._od) < self.capacity:
+            return _NO_VICTIM
+        return next(iter(self._od), _NO_VICTIM)
 
     def check(self) -> None:
         assert len(self._od) <= self.capacity
 
 
-class SlruSpace:
+class SlruSpace(_Space):
     """Segmented LRU: new keys enter probation, hits move them to protected.
 
     The protected segment is bounded by ceil(PROTECTED_FRACTION * capacity);
@@ -85,13 +104,19 @@ class SlruSpace:
         yield from self._probation
         yield from self._protected
 
-    def insert(self, key) -> None:
-        if key in self:
+    def push(self, key):
+        """Insert into probation MRU, first evicting and returning the victim if full."""
+        probation, protected = self._probation, self._protected
+        if key in probation or key in protected:
             raise ValueError(f"key already present: {key!r}")
-        if len(self) >= self.capacity:
-            raise ValueError("space is full; evict before inserting")
-        self._probation[key] = None
+        victim = _NO_VICTIM
+        if len(probation) + len(protected) >= self.capacity:
+            if not self.capacity:
+                raise ValueError("cannot push into a space of capacity 0")
+            victim = (probation or protected).popitem(last=False)[0]
+        probation[key] = None
         self.insert_count += 1
+        return victim
 
     def touch(self, key) -> None:
         if key in self._protected:
@@ -111,10 +136,11 @@ class SlruSpace:
         else:
             del self._protected[key]
 
-    def peek_victim(self):
-        if self._probation:
-            return next(iter(self._probation))
-        return next(iter(self._protected), None)
+    def victim_if_full(self):
+        """The key ``push`` would evict now, or _NO_VICTIM. Does not mutate."""
+        if len(self._probation) + len(self._protected) < self.capacity:
+            return _NO_VICTIM
+        return next(iter(self._probation or self._protected), _NO_VICTIM)
 
     def check(self) -> None:
         assert len(self) <= self.capacity

@@ -127,6 +127,30 @@ def test_histogram_matches_plain_tally(n_levels):
         assert sum(s.counts.values()) == len(outcomes)
 
 
+@pytest.mark.parametrize("n_levels", [2, 3, 4])
+def test_add_all_matches_add_and_plain_tally(n_levels):
+    # the bulk count a replay makes, over two calls, against one add per
+    # outcome and the plain tally
+    rnd = random.Random(100 + n_levels)
+    for trial in range(20):
+        outcomes = _random_outcomes(rnd, n_levels, rnd.randint(1, 400))
+        cut = rnd.randint(0, len(outcomes))
+        bulk, one_by_one = SimStats(n_levels), SimStats(n_levels)
+        bulk.add_all(outcomes[:cut])
+        bulk.add_all(iter(outcomes[cut:]))
+        for outcome in outcomes:
+            one_by_one.add(outcome)
+        bulk.check()
+        assert bulk.counts == one_by_one.counts, trial
+        want = reference_outcome_tally(outcomes, n_levels)
+        levels = range(1, n_levels + 1)
+        assert (bulk.requests, bulk.misses, bulk.h_l1_window, bulk.h_l1_veterans) == (
+            want["requests"], want["misses"], want["h_l1_window"],
+            want["h_l1_veterans"]), trial
+        assert [bulk.hits_at(level) for level in levels] == want["hits"], trial
+        assert [bulk.writes_at(level) for level in levels] == want["writes"], trial
+
+
 def test_empty_stats_refuse_ratios():
     s = SimStats(2)
     p = LatencyParams()

@@ -14,12 +14,14 @@ from bidifilter import (
     CascadeFilter,
     Demote,
     FrequencySketch,
+    LatencyParams,
     NaiveLRU,
     PolicySpec,
     Promote,
     SketchConfig,
     hit_at_level,
     make_policy,
+    run_single,
 )
 from bidifilter.oracles import (
     reference_chain_outcomes,
@@ -345,6 +347,53 @@ def test_chain_kinds_match_list_reference():
         fast = run(pol, keys)
         ref = reference_chain_outcomes(keys, caps, p, q, random.Random(seed))
         assert fast == ref, (kind, caps, p, q)
+
+
+def test_none_is_a_key_like_any_other():
+    # None must not be mistaken for "no victim": a trace holding None
+    # replays like the same trace with None renamed to an unused key
+    rnd = random.Random(8)
+    latency = LatencyParams((100.0, 200.0, 300.0))
+    assert run_single(PolicySpec("Demote", (1, 1)), [None, 1, None]).misses == 2
+    for trial in range(10):
+        caps = tuple(rnd.randint(1, 4) for _ in range(rnd.choice([2, 3])))
+        keys = [rnd.choice((None, *range(1, 7))) for _ in range(400)]
+        renamed = [99 if k is None else k for k in keys]
+        for kind in ("Demote", "NaiveLRU", "Promote"):
+            spec = PolicySpec(kind, caps, rng_seed=trial)
+            row = run_single(spec, keys, latency)
+            assert row == run_single(spec, renamed, latency), (kind, caps)
+            ref = reference_chain_outcomes(keys, caps, spec.promote_prob,
+                                           spec.demote_prob, random.Random(trial))
+            assert ref == reference_chain_outcomes(renamed, caps, spec.promote_prob,
+                                                   spec.demote_prob, random.Random(trial))
+        row = run_single(PolicySpec("Demote", caps), keys, latency)
+        assert row.requests - row.misses == reference_lru_hits(renamed, sum(caps))
+        # the filtered engine and its reference, with a sketch that sees
+        # None as 99
+        wf, tie = rnd.choice([0.0, 0.5, 1.0]), rnd.choice(["admit", "reject"])
+        outcomes = []
+        for trace, sketch in ((keys, _Renaming(default_sketch(caps, trial))),
+                              (renamed, default_sketch(caps, trial))):
+            pol = CascadeFilter(caps, window_fraction=wf, tie_break=tie, sketch=sketch)
+            outcomes.append(run(pol, trace))
+            pol.check_invariants()
+        assert outcomes[0] == outcomes[1], (caps, wf, tie)
+        assert outcomes[0] == reference_filter_outcomes(
+            keys, caps, _Renaming(default_sketch(caps, trial)), wf, tie)
+
+
+class _Renaming:
+    """A sketch stand-in that records and estimates None as the key 99."""
+
+    def __init__(self, sketch):
+        self.sketch = sketch
+
+    def record(self, key):
+        self.sketch.record(99 if key is None else key)
+
+    def estimate(self, key):
+        return self.sketch.estimate(99 if key is None else key)
 
 
 def test_admission_soundness_decision_log():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bidifilter import LruSpace, SlruSpace
+from bidifilter.spaces import _NO_VICTIM
 
 
 def test_lru_insert_order():
@@ -19,16 +20,19 @@ def test_lru_touch_moves_to_mru():
         sp.insert(k)
     sp.touch("a")
     assert list(sp.keys()) == ["b", "c", "a"]
-    assert sp.peek_victim() == "b"
+    assert sp.victim_if_full() == "b"
 
 
 def test_lru_peek_victim():
     sp = LruSpace(3)
-    assert sp.peek_victim() is None
+    assert sp.victim_if_full() is _NO_VICTIM
     for k in "abc":
         sp.insert(k)
-    assert sp.peek_victim() == "a"
+        assert (sp.victim_if_full() is _NO_VICTIM) == (k != "c")  # only when full
+    assert sp.victim_if_full() == "a"
     assert list(sp.keys()) == ["a", "b", "c"]  # peek does not mutate
+    assert sp.push("d") == "a"  # push evicts the peeked victim
+    assert list(sp.keys()) == ["b", "c", "d"]
 
 
 def test_lru_errors():
@@ -38,6 +42,9 @@ def test_lru_errors():
         sp.insert("a")  # duplicate
     with pytest.raises(ValueError):
         sp.insert("b")  # over capacity
+    with pytest.raises(ValueError):
+        sp.push("a")  # duplicate, even when full
+    assert list(sp.keys()) == ["a"] and sp.insert_count == 1
     with pytest.raises(KeyError):
         sp.touch("zzz")
     with pytest.raises(KeyError):
@@ -49,7 +56,7 @@ def test_remove_last_element():
     sp.insert("a")
     sp.remove("a")
     assert len(sp) == 0
-    assert sp.peek_victim() is None
+    assert sp.victim_if_full() is _NO_VICTIM
 
 
 def test_insert_count_instrumentation():
@@ -60,6 +67,9 @@ def test_insert_count_instrumentation():
     sp.remove(1)
     sp.insert(9)
     assert sp.insert_count == 6
+    assert sp.push(10) == 2  # an evicting push counts too
+    assert sp.push(11) == 3
+    assert sp.insert_count == 8
 
 
 def test_size_deltas():
@@ -110,10 +120,14 @@ def test_slru_victim_prefers_probation():
         sp.insert(k)
     sp.touch("a")
     sp.touch("b")
-    assert sp.peek_victim() == "c"  # probation LRU, not protected's a
-    sp.remove("c")
-    sp.remove("d")
-    assert sp.peek_victim() == "a"  # probation empty: protected LRU
+    assert sp.victim_if_full() == "c"  # probation LRU, not protected's a
+    sp.touch("c")
+    sp.touch("d")
+    assert not sp._probation and len(sp._protected) == 4
+    assert sp.victim_if_full() == "a"  # probation empty: protected LRU
+    assert sp.push("e") == "a"
+    assert list(sp.keys()) == ["e", "b", "c", "d"]
+    sp.check()
 
 
 def test_slru_errors_and_quota():
@@ -124,19 +138,23 @@ def test_slru_errors_and_quota():
         sp.insert("c")
     with pytest.raises(ValueError):
         sp.insert("a")
+    sp.touch("b")
+    with pytest.raises(ValueError):
+        sp.push("b")  # duplicate in protected
+    with pytest.raises(ValueError):
+        sp.push("a")  # duplicate in probation
+    assert list(sp.keys()) == ["a", "b"] and sp.insert_count == 2
     with pytest.raises(KeyError):
         sp.touch("nope")
     assert sp.protected_capacity == 2  # ceil(0.8*2)
 
 
 def _drive_lru(space, key):
-    # the standard caller contract: hit touches, miss evicts-then-inserts
+    # the standard caller contract: hit touches, miss pushes
     if key in space:
         space.touch(key)
     else:
-        if len(space) >= space.capacity:
-            space.remove(space.peek_victim())
-        space.insert(key)
+        space.push(key)
 
 
 def test_lru_inclusion_property():
@@ -159,8 +177,8 @@ def test_peek_then_remove_equals_destructive_pop():
         for _ in range(500):
             k = rnd.randint(0, 15)
             _drive_lru(sp, k)
-            victim = sp.peek_victim()
-            if victim is not None and rnd.random() < 0.2:
+            victim = sp.victim_if_full()
+            if victim is not _NO_VICTIM and rnd.random() < 0.2:
                 n = len(sp)
                 sp.remove(victim)
                 assert victim not in sp
@@ -170,7 +188,78 @@ def test_peek_then_remove_equals_destructive_pop():
 
 
 def test_capacity_zero_space():
-    sp = LruSpace(0)
-    assert sp.peek_victim() is None
-    with pytest.raises(ValueError):
-        sp.insert("a")
+    for space_cls in (LruSpace, SlruSpace):
+        sp = space_cls(0)
+        assert sp.victim_if_full() is _NO_VICTIM
+        with pytest.raises(ValueError):
+            sp.insert("a")
+        with pytest.raises(ValueError):
+            sp.push("a")  # not a KeyError from an empty eviction
+        assert len(sp) == 0 and sp.insert_count == 0
+
+
+class _ListSlru:
+    """An SlruSpace as two python lists (index 0 is the LRU end); with a
+    protected capacity of 0 it is a plain LRU, which never promotes."""
+
+    def __init__(self, capacity, protected_capacity):
+        self.capacity, self.protected_capacity = capacity, protected_capacity
+        self.probation, self.protected = [], []
+        self.insert_count = 0
+
+    def keys(self):
+        return self.probation + self.protected
+
+    def victim_if_full(self):
+        if len(self.keys()) < self.capacity or not self.keys():
+            return _NO_VICTIM
+        return self.keys()[0]
+
+    def push(self, key):
+        victim = self.victim_if_full()
+        if victim is not _NO_VICTIM:
+            (self.probation if self.probation else self.protected).pop(0)
+        self.probation.append(key)
+        self.insert_count += 1
+        return victim
+
+    def touch(self, key):
+        if not self.protected_capacity:
+            self.probation.remove(key)
+            self.probation.append(key)
+            return
+        (self.protected if key in self.protected else self.probation).remove(key)
+        self.protected.append(key)
+        if len(self.protected) > self.protected_capacity:
+            self.probation.append(self.protected.pop(0))
+
+    def remove(self, key):
+        (self.protected if key in self.protected else self.probation).remove(key)
+
+
+def test_push_and_victim_if_full_match_list_model():
+    # random pushes, touches and removals on both space classes; after
+    # every step the return values, the order and the insert count agree
+    rnd = random.Random(15)
+    for trial in range(60):
+        capacity = rnd.randint(1, 7)
+        sp = rnd.choice((LruSpace, SlruSpace))(capacity)
+        model = _ListSlru(capacity, getattr(sp, "protected_capacity", 0))
+        for _ in range(300):
+            key = rnd.choice((None, *range(12)))
+            op = rnd.random()
+            if key not in model.keys():
+                assert sp.push(key) == model.push(key)
+            elif op < 0.6:
+                sp.touch(key)
+                model.touch(key)
+            elif op < 0.8:
+                sp.remove(key)
+                model.remove(key)
+            else:
+                with pytest.raises(ValueError):
+                    sp.push(key)
+            assert sp.victim_if_full() == model.victim_if_full()
+            assert list(sp.keys()) == model.keys(), trial
+            assert sp.insert_count == model.insert_count
+            sp.check()
