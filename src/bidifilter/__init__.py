@@ -48,7 +48,6 @@ from .workload import (
     expand_chunks,
     generate_synthetic,
     ingest_trace,
-    key_frequencies,
     stream_digest,
     zipf_cumulative,
 )
@@ -64,7 +63,7 @@ __all__ = [
     "SlruSpace", "SweepSpec", "SyntheticSpec", "TraceFormatError",
     "avg_read_latency", "avg_rw_latency", "compile_trace",
     "count_uniques", "derive_seed", "expand_chunks", "generate_synthetic",
-    "hit_at_level", "hit_ratio", "ingest_trace", "key_frequencies",
+    "hit_at_level", "hit_ratio", "ingest_trace",
     "level_capacities_for", "make_policy", "mix64", "run_single",
     "run_sweep", "stream_digest", "trace_label", "write_rows",
     "write_rows_csv", "write_rows_jsonl", "zipf_cumulative",

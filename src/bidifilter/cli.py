@@ -7,7 +7,7 @@ import sys
 
 from .harness import SweepSpec, run_sweep, write_rows, write_rows_csv, write_rows_jsonl
 from .metrics import LatencyParams
-from .policies import KINDS, PolicySpec
+from .policies import KINDS, TIE_BREAKS, PolicySpec
 from .workload import SyntheticSpec
 
 
@@ -65,13 +65,13 @@ def _add_common(sub: argparse.ArgumentParser, multi_policy: bool) -> None:
             "--l1-ratio", type=float, default=0.1,
             help="L1 size as a fraction of L2",
         )
-    sub.add_argument("--window", type=float, default=0.5,
+    sub.add_argument("--window", type=float, default=PolicySpec.window_fraction,
                      help="fraction of L1 given to the window space")
-    sub.add_argument("--tie", choices=("admit", "reject"), default="admit",
+    sub.add_argument("--tie", choices=TIE_BREAKS, default=PolicySpec.tie_break,
                      help="filter behavior on equal frequency estimates")
-    sub.add_argument("--promote-p", type=float, default=0.5,
+    sub.add_argument("--promote-p", type=float, default=PolicySpec.promote_prob,
                      help="Promote: probability an L2 hit moves up")
-    sub.add_argument("--promote-q", type=float, default=0.5,
+    sub.add_argument("--promote-q", type=float, default=PolicySpec.demote_prob,
                      help="Promote: probability a demoted victim is written")
     sub.add_argument("--levels", type=int, default=2,
                      help="number of cache levels")
@@ -166,9 +166,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     kinds = tuple(k.strip() for k in args.policy.split(","))
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown policy: {kind!r}")
     sweep = _sweep_spec(
         args, kinds, _parse_floats(args.l2_pct), _parse_floats(args.l1_ratio)
     )

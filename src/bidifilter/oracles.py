@@ -1,11 +1,11 @@
 """Deliberately slow reference implementations, for tests only.
 
-Everything here favors obviousness over speed: exact counting by
-scanning, LRU as a python list, the filtered policy and the chained-LRU
-baselines with every space a python list, the count-min sketch with one
-list per row and every access hashed afresh, replay counters by a pass
-over the list of outcomes, Zipf probabilities by direct summation.
-The test suite checks the fast paths against these.
+Everything here favors obviousness over speed: exact counts by plain
+counting, LRU hits with a python list, the filtered policy and the
+chained-LRU baselines with every space a python list, the count-min
+sketch with one list per row and every access hashed afresh, replay
+counters by a pass over the list of outcomes, Zipf probabilities by
+direct summation.  The test suite checks a fast path against each one.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ def exact_counts(keys: Iterable) -> Counter:
     return counts
 
 
-def exact_count(keys: Iterable, key) -> int:
-    """Occurrences of one key, by scanning the whole stream."""
-    return sum(1 for k in keys if k == key)
-
-
 def reference_lru_hits(keys: Sequence, capacity: int) -> int:
     """Hits of a single LRU cache of ``capacity``, simulated with a list."""
     if capacity < 1:
@@ -52,20 +47,6 @@ def reference_lru_hits(keys: Sequence, capacity: int) -> int:
             if len(cache) > capacity:
                 cache.pop(0)
     return hits
-
-
-def reference_lru_contents(keys: Sequence, capacity: int) -> list:
-    """Final contents of the same list-based LRU, least recent first."""
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    cache: list = []
-    for key in keys:
-        if key in cache:
-            cache.remove(key)
-        cache.append(key)
-        if len(cache) > capacity:
-            cache.pop(0)
-    return cache
 
 
 def reference_filter_outcomes(

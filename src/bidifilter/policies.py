@@ -60,6 +60,7 @@ HIT_L1_WINDOW = "hit_l1_window"
 HIT_L1_VETERANS = "hit_l1_veterans"
 
 KINDS = ("BiDiFilter", "BiDiFilterUnited", "Demote", "NaiveLRU", "Promote")
+TIE_BREAKS = ("admit", "reject")
 
 _SKETCH_SALT = 0xB1D1F117E2
 
@@ -98,6 +99,18 @@ def _check_level_capacities(level_capacities) -> tuple[int, ...]:
     return tuple(map(int, caps))
 
 
+def _check_fractions(**values) -> None:
+    """Raise unless every named value lies in [0, 1]."""
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1]")
+
+
+def _check_tie_break(tie_break) -> None:
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
+
+
 def _check_exclusive(spaces) -> None:
     """Check each space, and that no key occupies more than one of them."""
     union = set()
@@ -115,7 +128,8 @@ class PolicySpec:
 
     window_fraction and tie_break only apply to the filtered kinds;
     promote_prob/demote_prob only to Promote.  rng_seed feeds the sketch
-    hash seed and Promote's coin flips.
+    hash seed and Promote's coin flips.  These defaults are the engines'
+    and the command line's defaults too.
     """
 
     kind: str
@@ -134,14 +148,9 @@ class PolicySpec:
         )
         if self.kind == "BiDiFilterUnited" and self.n_levels != 2:
             raise ValueError("BiDiFilterUnited supports exactly two levels")
-        if not 0.0 <= self.window_fraction <= 1.0:
-            raise ValueError("window_fraction must be in [0, 1]")
-        if self.tie_break not in ("admit", "reject"):
-            raise ValueError("tie_break must be 'admit' or 'reject'")
-        if not 0.0 <= self.promote_prob <= 1.0:
-            raise ValueError("promote_prob must be in [0, 1]")
-        if not 0.0 <= self.demote_prob <= 1.0:
-            raise ValueError("demote_prob must be in [0, 1]")
+        _check_fractions(window_fraction=self.window_fraction,
+                         promote_prob=self.promote_prob, demote_prob=self.demote_prob)
+        _check_tie_break(self.tie_break)
 
     @property
     def n_levels(self) -> int:
@@ -205,16 +214,14 @@ class CascadeFilter:
         self,
         level_capacities,
         *,
-        window_fraction: float = 0.5,
-        tie_break: str = "admit",
-        rng_seed: int = 0,
+        window_fraction: float = PolicySpec.window_fraction,
+        tie_break: str = PolicySpec.tie_break,
+        rng_seed: int = PolicySpec.rng_seed,
         sketch: FrequencySketch | None = None,
     ):
         caps = _check_level_capacities(level_capacities)
-        if not 0.0 <= window_fraction <= 1.0:
-            raise ValueError("window_fraction must be in [0, 1]")
-        if tie_break not in ("admit", "reject"):
-            raise ValueError("tie_break must be 'admit' or 'reject'")
+        _check_fractions(window_fraction=window_fraction)
+        _check_tie_break(tie_break)
         window = round(window_fraction * caps[0])
         self.window_fraction = window_fraction
         self.window = LruSpace(window)
@@ -368,12 +375,10 @@ class Promote:
     ``_push_top`` reports, or nothing for a hit refreshed in place.
     """
 
-    def __init__(self, level_capacities, *, promote_prob=0.5, demote_prob=0.5, rng_seed=0):
+    def __init__(self, level_capacities, *, promote_prob=PolicySpec.promote_prob,
+                 demote_prob=PolicySpec.demote_prob, rng_seed=PolicySpec.rng_seed):
         caps = _check_level_capacities(level_capacities)
-        if not 0.0 <= promote_prob <= 1.0:
-            raise ValueError("promote_prob must be in [0, 1]")
-        if not 0.0 <= demote_prob <= 1.0:
-            raise ValueError("demote_prob must be in [0, 1]")
+        _check_fractions(promote_prob=promote_prob, demote_prob=demote_prob)
         self.levels = tuple(LruSpace(c) for c in caps)
         self.n_levels = len(caps)
         # interned outcomes, indexed by the last level written (0 for a

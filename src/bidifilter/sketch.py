@@ -55,9 +55,10 @@ class SketchConfig:
 
     sample_size: increments between aging halvings (W).
     tracked_capacity: cache capacity the sketch protects (C); together with
-        sample_size it fixes the counter saturation cap ceil(W/C).
+        sample_size it fixes the counter saturation cap ceil(W/C), which
+        also sets how wide ``FrequencySketch.counters`` reports them.
+    depth: rows; a key has one counter in each.
     width: counters per row: a power of two >= C, by default the smallest.
-    counter_bits: cap must fit in this many bits.
 
     Every field is an integer; numpy integers are stored as Python ints.
     """
@@ -66,10 +67,9 @@ class SketchConfig:
     tracked_capacity: int
     depth: int = 4
     width: int | None = None
-    counter_bits: int = 4
 
     def __post_init__(self):
-        for name in ("sample_size", "tracked_capacity", "depth", "width", "counter_bits"):
+        for name in ("sample_size", "tracked_capacity", "depth", "width"):
             value = getattr(self, name)
             if value is None and name == "width":
                 continue
@@ -82,20 +82,12 @@ class SketchConfig:
             raise ValueError("tracked_capacity must be >= 1")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.counter_bits < 1:
-            raise ValueError("counter_bits must be >= 1")
         if self.width is None:
             object.__setattr__(self, "width", next_pow2(self.tracked_capacity))
         if self.width < self.tracked_capacity:
             raise ValueError("width must be >= tracked_capacity")
         if self.width & (self.width - 1):
             raise ValueError("width must be a power of two")
-        if self.counter_cap > (1 << self.counter_bits) - 1:
-            raise ValueError(
-                f"counter cap {self.counter_cap} does not fit in "
-                f"{self.counter_bits} bits; raise counter_bits or shrink "
-                f"sample_size/tracked_capacity"
-            )
 
     @property
     def counter_cap(self) -> int:
@@ -105,7 +97,7 @@ class SketchConfig:
     @classmethod
     def for_capacity(cls, capacity: int) -> "SketchConfig":
         """Default geometry for a cache of ``capacity`` items: W = 10 * C,
-        the default depth and counter width."""
+        so a cap of 10, at the default depth and width."""
         return cls(sample_size=10 * capacity, tracked_capacity=capacity)
 
 

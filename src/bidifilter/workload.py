@@ -9,7 +9,7 @@ per line, with optional byte sizes that expand into per-chunk keys.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -17,6 +17,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 _BLOCK = 8192
+RECENT_BUFFER = 10  # recently emitted keys a recent-branch event picks from
+CHUNK_BYTES = 4096  # bytes per chunk key of a sized trace access
 
 
 @dataclass(frozen=True)
@@ -24,10 +26,10 @@ class SyntheticSpec:
     """Parameters of the synthetic key stream.
 
     recency is the probability that an event repeats one of the
-    ``recent_buffer_size`` most recently emitted keys (picked uniformly,
+    ``RECENT_BUFFER`` (10) most recently emitted keys (picked uniformly,
     duplicates and all); otherwise the key is a Zipf(skew) draw over
-    ``{1..ground_set}``.  The first ``recent_buffer_size`` events always
-    take the Zipf branch so the buffer never starts empty.
+    ``{1..ground_set}``.  The first ``RECENT_BUFFER`` events always take
+    the Zipf branch so the buffer never starts empty.
     """
 
     length: int
@@ -35,7 +37,6 @@ class SyntheticSpec:
     skew: float
     recency: float
     rng_seed: int = 0
-    recent_buffer_size: int = 10
 
     def __post_init__(self):
         if self.length < 1:
@@ -46,8 +47,6 @@ class SyntheticSpec:
             raise ValueError("skew must be >= 0")
         if not 0.0 <= self.recency <= 1.0:
             raise ValueError("recency must be in [0, 1]")
-        if self.recent_buffer_size < 1:
-            raise ValueError("recent_buffer_size must be >= 1")
 
 
 def zipf_cumulative(ground_set: int, skew: float) -> np.ndarray:
@@ -67,15 +66,15 @@ def generate_synthetic(spec: SyntheticSpec, branch_log: list | None = None) -> I
     rng = np.random.default_rng(spec.rng_seed)
     cum = zipf_cumulative(spec.ground_set, spec.skew)
     total = cum[-1]
-    recent: deque = deque(maxlen=spec.recent_buffer_size)
+    recent: deque = deque(maxlen=RECENT_BUFFER)
     emitted = 0
     while emitted < spec.length:
         n = min(_BLOCK, spec.length - emitted)
         u_branch = rng.random(n)
         zipf_keys = np.searchsorted(cum, rng.random(n) * total, side="right") + 1
-        picks = rng.integers(0, spec.recent_buffer_size, size=n)
+        picks = rng.integers(0, RECENT_BUFFER, size=n)
         for j in range(n):
-            if emitted >= spec.recent_buffer_size and u_branch[j] < spec.recency:
+            if emitted >= RECENT_BUFFER and u_branch[j] < spec.recency:
                 key = recent[picks[j]]
                 took_recent = True
             else:
@@ -101,25 +100,25 @@ class TraceFormatError(ValueError):
     """A trace line that cannot be parsed; message names the line number."""
 
 
-def expand_chunks(key: str, size_bytes: int, chunk_size: int = 4096) -> list[str]:
-    """Per-chunk keys for a sized access: key#0 .. key#(ceil(size/chunk)-1).
+def expand_chunks(key: str, size_bytes: int) -> list[str]:
+    """Per-chunk keys for a sized access: key#0 .. key#(n-1), where n is
+    ceil(size_bytes / CHUNK_BYTES).
 
     Zero-byte accesses still touch one chunk.
     """
     if size_bytes < 0:
         raise ValueError("size_bytes must be >= 0")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    n = max(1, -(-size_bytes // chunk_size))
+    n = max(1, -(-size_bytes // CHUNK_BYTES))
     return [f"{key}#{i}" for i in range(n)]
 
 
-def ingest_trace(path, chunk_size: int = 4096) -> Iterator[str]:
+def ingest_trace(path) -> Iterator[str]:
     """Stream chunk keys from a text trace.
 
     Each non-empty, non-comment line is ``key`` or ``key,size_bytes``;
-    '#'-prefixed lines are comments.  Unsized accesses count as one
-    chunk.  Malformed lines raise TraceFormatError naming the line.
+    '#'-prefixed lines are comments.  A sized access expands into one
+    key per ``CHUNK_BYTES`` (``expand_chunks``); an unsized one counts
+    as one chunk.  Malformed lines raise TraceFormatError naming the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -143,7 +142,7 @@ def ingest_trace(path, chunk_size: int = 4096) -> Iterator[str]:
                 ) from None
             if size < 0:
                 raise TraceFormatError(f"line {lineno}: negative size: {line!r}")
-            yield from expand_chunks(key, size, chunk_size)
+            yield from expand_chunks(key, size)
 
 
 def count_uniques(keys: Iterable) -> tuple[int, int]:
@@ -154,8 +153,3 @@ def count_uniques(keys: Iterable) -> tuple[int, int]:
         seen.add(key)
         total += 1
     return len(seen), total
-
-
-def key_frequencies(keys: Iterable) -> Counter:
-    """Exact occurrence counts; handy for sketch calibration checks."""
-    return Counter(keys)

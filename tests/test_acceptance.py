@@ -60,9 +60,7 @@ def test_sketch_estimates_are_sound(capsys):
     # width 2^16 almost nothing should be overestimated either
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
-    cfg = SketchConfig(
-        sample_size=200_000, tracked_capacity=10_000, width=2**16, counter_bits=8
-    )
+    cfg = SketchConfig(sample_size=200_000, tracked_capacity=10_000, width=2**16)
     cap = cfg.counter_cap
     violations = 0
     overestimated = 0

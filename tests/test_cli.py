@@ -246,12 +246,17 @@ def test_stdout_and_file_output_agree(tmp_path, capsys):
 
 
 def test_module_entrypoint(capsys):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the pytest pythonpath setting reaches this process, not the child
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "bidifilter", "run", "--synthetic", SYN],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("trace_id,")

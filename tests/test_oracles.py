@@ -7,12 +7,10 @@ import pytest
 
 from bidifilter import FrequencySketch, SketchConfig
 from bidifilter.oracles import (
-    exact_count,
     exact_counts,
     exact_zipf_probabilities,
     reference_chain_outcomes,
     reference_filter_outcomes,
-    reference_lru_contents,
     reference_lru_hits,
     reference_sketch_counters,
 )
@@ -22,8 +20,6 @@ def test_exact_counts_tiny():
     keys = ["a", "b", "a", "a", "c"]
     counts = exact_counts(keys)
     assert counts == {"a": 3, "b": 1, "c": 1}
-    assert exact_count(keys, "a") == 3
-    assert exact_count(keys, "zzz") == 0
     assert exact_counts([]) == {}
 
 
@@ -36,14 +32,6 @@ def test_lru_hits_hand_cases():
     assert reference_lru_hits([1, 2, 3, 1, 2, 3], 3) == 3
     with pytest.raises(ValueError):
         reference_lru_hits(["a"], 0)
-
-
-def test_lru_contents_hand_cases():
-    assert reference_lru_contents(["a", "b", "c"], 2) == ["b", "c"]
-    assert reference_lru_contents(["a", "b", "a"], 2) == ["b", "a"]
-    assert reference_lru_contents([], 3) == []
-    with pytest.raises(ValueError):
-        reference_lru_contents([], 0)
 
 
 def test_lru_agrees_with_ordereddict_simulation():
@@ -63,7 +51,6 @@ def test_lru_agrees_with_ordereddict_simulation():
                 if len(od) > cap:
                     od.popitem(last=False)
         assert reference_lru_hits(keys, cap) == hits
-        assert reference_lru_contents(keys, cap) == list(od.keys())
 
 
 def test_lru_hits_monotone_in_capacity():

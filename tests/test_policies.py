@@ -19,6 +19,7 @@ from bidifilter import (
     PolicySpec,
     Promote,
     SketchConfig,
+    compile_trace,
     hit_at_level,
     make_policy,
     run_single,
@@ -27,6 +28,7 @@ from bidifilter.oracles import (
     reference_chain_outcomes,
     reference_filter_outcomes,
     reference_lru_hits,
+    reference_sketch_counters,
 )
 from bidifilter.policies import default_sketch
 
@@ -322,6 +324,31 @@ def test_filtered_kinds_match_list_reference():
         fast = run(pol, keys)
         ref = reference_filter_outcomes(keys, caps, default_sketch(caps, seed), wf, tie)
         assert fast == ref, (kind, caps, wf, tie)
+
+
+def test_sketch_state_depends_on_the_trace_alone():
+    # every request is recorded before any decision, so after a bound
+    # replay the counters are those of a sketch fed the trace and nothing
+    # else, whatever the policy admitted; a small sketch collides and halves
+    rnd = random.Random(29)
+    for n_levels in (2, 3):
+        for wf in (0.0, 0.5, 1.0):
+            for tie in ("admit", "reject"):
+                caps = tuple(rnd.randint(2, 6) for _ in range(n_levels))
+                cfg = SketchConfig(sample_size=rnd.randint(20, 60),
+                                   tracked_capacity=sum(caps), depth=2)
+                seed = rnd.randint(0, 2**32)
+                keys = [rnd.randint(0, 3 * sum(caps)) for _ in range(800)]
+                if tie == "reject":  # string keys hash through blake2b
+                    keys = [f"k{k}" for k in keys]
+                trace = compile_trace(keys)
+                pol = CascadeFilter(caps, window_fraction=wf, tie_break=tie,
+                                    sketch=FrequencySketch(cfg, seed=seed))
+                pol.bind_keys(trace.keys)
+                run(pol, trace)
+                expected, _ = reference_sketch_counters(keys, cfg, seed)[-1]
+                assert pol.sketch.counters.tolist() == [list(row) for row in expected], \
+                    (caps, wf, tie)
 
 
 def test_chain_kinds_match_list_reference():

@@ -11,11 +11,7 @@ def test_config_cap_rule():
     cfg = SketchConfig(sample_size=160, tracked_capacity=16)
     assert cfg.counter_cap == 10
     assert SketchConfig(sample_size=8, tracked_capacity=1).counter_cap == 8
-    # cap 16 does not fit 4 bits
-    with pytest.raises(ValueError):
-        SketchConfig(sample_size=160, tracked_capacity=10)
-    # but fits 5
-    assert SketchConfig(sample_size=160, tracked_capacity=10, counter_bits=5).counter_cap == 16
+    assert SketchConfig(sample_size=160, tracked_capacity=10).counter_cap == 16
 
 
 def test_config_validation():
@@ -36,22 +32,21 @@ def test_config_validation():
     ("tracked_capacity", 5.0),
     ("depth", 2.0),
     ("width", 64.0),
-    ("counter_bits", 4.0),
     ("sample_size", "50"),
 ])
 def test_config_fields_must_be_integers(field, value):
     fields = {"sample_size": 50, "tracked_capacity": 5, "depth": 2, "width": 64,
-              "counter_bits": 4, field: value}
+              field: value}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         SketchConfig(**fields)
 
 
 def test_config_takes_numpy_ints_as_python_ints():
     cfg = SketchConfig(sample_size=np.int64(50), tracked_capacity=np.int32(5),
-                       depth=np.uint8(2), width=np.int64(64), counter_bits=np.int16(4))
-    assert cfg == SketchConfig(50, 5, depth=2, width=64, counter_bits=4)
+                       depth=np.uint8(2), width=np.int64(64))
+    assert cfg == SketchConfig(50, 5, depth=2, width=64)
     assert all(type(v) is int for v in (cfg.sample_size, cfg.tracked_capacity, cfg.depth,
-                                         cfg.width, cfg.counter_bits, cfg.counter_cap))
+                                         cfg.width, cfg.counter_cap))
     assert SketchConfig(np.int64(100), np.int64(10)).width == 16
 
 
@@ -177,9 +172,8 @@ def test_adversarial_collision_pair_depth1_width2():
 
 def test_one_sided_error_against_oracle():
     rnd = random.Random(6)
-    # cap here is ceil(10000/100) = 100, which needs wider counters
-    cfg = SketchConfig(sample_size=10_000, tracked_capacity=100, width=256,
-                       counter_bits=8)
+    # cap here is ceil(10000/100) = 100
+    cfg = SketchConfig(sample_size=10_000, tracked_capacity=100, width=256)
     sk = FrequencySketch(cfg, seed=5)
     stream = [rnd.randint(0, 300) for _ in range(5000)]
     for k in stream:
@@ -206,7 +200,7 @@ def test_bounded_overestimate_single_trial():
 
 
 def test_aging_boundedness():
-    cfg = SketchConfig(sample_size=13, tracked_capacity=2, counter_bits=4)
+    cfg = SketchConfig(sample_size=13, tracked_capacity=2)
     sk = FrequencySketch(cfg, seed=8)
     rnd = random.Random(8)
     for i in range(300):
@@ -222,7 +216,6 @@ def test_scalar_and_bulk_paths_match_exactly():
             tracked_capacity=rnd.randint(1, 8),
             depth=rnd.randint(1, 5),
             width=rnd.choice([8, 16, 32, 64]),
-            counter_bits=8,
         )
         s1 = FrequencySketch(cfg, seed=trial)
         s2 = FrequencySketch(cfg, seed=trial)
@@ -311,7 +304,6 @@ def test_scalar_ops_match_reference_after_every_record(kind):
             tracked_capacity=rnd.randint(1, 8),
             depth=1 + trial % 4,
             width=rnd.choice([8, 16, 32, 64]),
-            counter_bits=8,
         )
         keys = _stream(kind, rnd, 300)
         assert len(keys) // cfg.sample_size >= 5  # several halvings
