@@ -48,6 +48,29 @@ def test_stream_is_deterministic_and_seed_sensitive():
     assert stream_digest(generate_synthetic(other)) != a
 
 
+@pytest.mark.parametrize(
+    "recency, digest",
+    [
+        (0.0, "84bac8a8101cbf41d0b3ac3ca3ae4f2373ce657c5e89572bc93fbd305f6f90fa"),
+        (0.2, "0570fdb1cb034e5c133f7ed70df14c086a5cd910858828d1b11066909c8c1c11"),
+        (0.6, "b901ad186f045e1e86ee535e13fedd73fa9933748d031484fe44c274c4fd203f"),
+        (1.0, "8f18423e07231fca2d8cdca21d309fb50820b9db657163e3d38f070825b5ba79"),
+    ],
+)
+def test_multi_block_stream_digest_is_pinned(recency, digest):
+    # 20,000 events: two whole 8,192-draw blocks and a ragged third one
+    spec = SyntheticSpec(length=20000, ground_set=1000, skew=0.8, recency=recency, rng_seed=12)
+    assert stream_digest(generate_synthetic(spec)) == digest
+
+
+def test_multi_block_branch_log_digest_is_pinned():
+    spec = SyntheticSpec(length=20000, ground_set=1000, skew=0.8, recency=0.6, rng_seed=12)
+    log: list = []
+    list(generate_synthetic(spec, branch_log=log))
+    assert sum(log) == 11977
+    assert stream_digest(log) == "701c5e837b72aad7caa19b49169a50df5a91b3c17644a5ae4d0fe76f6e186115"
+
+
 def test_stream_crosses_block_boundary_consistently():
     # lengths straddling the internal draw block must agree on the prefix
     long_spec = SyntheticSpec(length=9000, ground_set=50, skew=0.7, recency=0.2, rng_seed=3)
