@@ -5,20 +5,22 @@ counting, LRU hits with a python list, the filtered policy and the
 chained-LRU baselines with every space a python list, the count-min
 sketch with one list per row and every access hashed afresh, replay
 counters by a pass over the list of outcomes, Zipf probabilities by
-direct summation.  The test suite checks a fast path against each one.
+direct summation, the synthetic stream one event at a time.  The test
+suite checks a fast path against each one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
+from collections import Counter, deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .sketch import mix64
 from .spaces import PROTECTED_FRACTION
+from .workload import _BLOCK, RECENT_BUFFER, SyntheticSpec, zipf_cumulative
 
 _NO_VICTIM = object()  # no victim: None is a key like any other
 
@@ -334,3 +336,30 @@ def exact_zipf_probabilities(ground_set: int, skew: float) -> list[float]:
     weights = [r ** -skew for r in range(1, ground_set + 1)]
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def reference_synthetic_stream(spec: SyntheticSpec) -> tuple[list[int], list[bool]]:
+    """``generate_synthetic``'s keys and branch flags, one event at a time.
+
+    The same block draws in the same order; each event then either
+    re-emits ``recent[pick]`` from a deque of the last ``RECENT_BUFFER``
+    keys or takes its Zipf draw.
+    """
+    rng = np.random.default_rng(spec.rng_seed)
+    cum = zipf_cumulative(spec.ground_set, spec.skew)
+    total = cum[-1]
+    recent: deque = deque(maxlen=RECENT_BUFFER)
+    keys: list[int] = []
+    flags: list[bool] = []
+    while len(keys) < spec.length:
+        n = min(_BLOCK, spec.length - len(keys))
+        u_branch = rng.random(n)
+        zipf_keys = np.searchsorted(cum, rng.random(n) * total, side="right") + 1
+        picks = rng.integers(0, RECENT_BUFFER, size=n)
+        for j in range(n):
+            took_recent = len(keys) >= RECENT_BUFFER and u_branch[j] < spec.recency
+            key = recent[picks[j]] if took_recent else int(zipf_keys[j])
+            recent.append(key)
+            keys.append(key)
+            flags.append(bool(took_recent))
+    return keys, flags

@@ -2,14 +2,18 @@
 
 The synthetic stream mixes a static Zipf popularity law with short-term
 repetition: each event either re-emits one of the last few keys or draws
-a fresh rank from the Zipf law.  Trace files are plain text, one access
-per line, with optional byte sizes that expand into per-chunk keys.
+a fresh rank from the Zipf law.  It is generated one block of events
+at a time in numpy: the block's uniform draws come first, then every
+re-emitted key is traced back to the Zipf draw it copies by pointer
+jumping over an array of source indexes.  The generator is lazy and
+yields Python ints, so its memory stays one block whatever the length.
+Trace files are plain text, one access per line, with optional byte
+sizes that expand into per-chunk keys.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -58,33 +62,57 @@ def zipf_cumulative(ground_set: int, skew: float) -> np.ndarray:
 def generate_synthetic(spec: SyntheticSpec, branch_log: list | None = None) -> Iterator[int]:
     """Yield the key stream for ``spec``; identical streams per rng_seed.
 
-    Keys are ints in 1..ground_set.  Uniform draws are consumed in fixed
-    blocks (branch, Zipf and buffer-pick draws for every event, whether
-    used or not), so the stream is a pure function of ``spec``.  When
-    ``branch_log`` is given, True is appended for recent-branch events.
+    Keys are Python ints in 1..ground_set.  Uniform draws are consumed
+    in blocks of ``_BLOCK`` events: branch, Zipf and buffer-pick draws
+    for every event of the block, whether used or not.  So the stream is
+    a pure function of ``spec``, and streams of two lengths agree
+    through the last whole block of the shorter one; past it the
+    shorter stream's ragged last block draws fewer values of each kind,
+    so the two part.
+
+    A recent-branch event at index e re-emits the key emitted at
+    e - RECENT_BUFFER + pick.  Each block resolves those links at once:
+    an array of source indexes over the previous block's last
+    ``RECENT_BUFFER`` keys and this block's events, jumped (``src =
+    src[src]``) until every index names a Zipf event or a carried key.
+    A repeat yields the very int object it repeats, as a per-event loop
+    would.  The generator stays lazy, holding one block at a time.  When
+    ``branch_log`` is given, each block's branch flags are appended to
+    it (True for recent-branch events) before that block's keys are
+    yielded.
     """
     rng = np.random.default_rng(spec.rng_seed)
     cum = zipf_cumulative(spec.ground_set, spec.skew)
     total = cum[-1]
-    recent: deque = deque(maxlen=RECENT_BUFFER)
+    carried: list[int] = []  # the last RECENT_BUFFER keys emitted
     emitted = 0
     while emitted < spec.length:
         n = min(_BLOCK, spec.length - emitted)
         u_branch = rng.random(n)
         zipf_keys = np.searchsorted(cum, rng.random(n) * total, side="right") + 1
         picks = rng.integers(0, RECENT_BUFFER, size=n)
-        for j in range(n):
-            if emitted >= RECENT_BUFFER and u_branch[j] < spec.recency:
-                key = recent[picks[j]]
-                took_recent = True
-            else:
-                key = int(zipf_keys[j])
-                took_recent = False
-            recent.append(key)
-            emitted += 1
-            if branch_log is not None:
-                branch_log.append(took_recent)
-            yield key
+        took_recent = u_branch < spec.recency
+        took_recent[: max(0, RECENT_BUFFER - emitted)] = False  # the buffer fills first
+        # index h + j is event j of this block; 0..h-1 are the carried keys
+        h = len(carried)
+        src = np.arange(h + n)
+        repeats = np.flatnonzero(took_recent)
+        src[h + repeats] += picks[repeats] - RECENT_BUFFER
+        while True:
+            jumped = src[src]
+            if np.array_equal(jumped, src):
+                break
+            src = jumped
+        # one int object per Zipf draw, shared by every event that repeats it
+        pool = np.empty(h + n, dtype=object)
+        pool[:h] = carried
+        pool[h:] = zipf_keys
+        keys = pool[src[h:]].tolist()
+        carried = keys[-RECENT_BUFFER:]
+        emitted += n
+        if branch_log is not None:
+            branch_log.extend(took_recent.tolist())
+        yield from keys
 
 
 def stream_digest(keys: Iterable) -> str:

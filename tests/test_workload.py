@@ -1,12 +1,15 @@
+import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bidifilter.oracles import exact_zipf_probabilities
+from bidifilter.oracles import exact_zipf_probabilities, reference_synthetic_stream
 from bidifilter.workload import (
+    _BLOCK,
     SyntheticSpec,
     TraceFormatError,
     count_uniques,
@@ -61,6 +64,7 @@ def test_multi_block_stream_digest_is_pinned(recency, digest):
     # 20,000 events: two whole 8,192-draw blocks and a ragged third one
     spec = SyntheticSpec(length=20000, ground_set=1000, skew=0.8, recency=recency, rng_seed=12)
     assert stream_digest(generate_synthetic(spec)) == digest
+    assert stream_digest(reference_synthetic_stream(spec)[0]) == digest
 
 
 def test_multi_block_branch_log_digest_is_pinned():
@@ -72,12 +76,78 @@ def test_multi_block_branch_log_digest_is_pinned():
 
 
 def test_stream_crosses_block_boundary_consistently():
-    # lengths straddling the internal draw block must agree on the prefix
-    long_spec = SyntheticSpec(length=9000, ground_set=50, skew=0.7, recency=0.2, rng_seed=3)
-    keys = list(generate_synthetic(long_spec))
-    assert len(keys) == 9000
-    assert all(1 <= k <= 50 for k in keys)
-    assert all(type(k) is int for k in keys[:100])
+    # streams of two lengths agree through the last whole block of the
+    # shorter one; a ragged last block draws fewer values, so they part there
+    def keys(length):
+        spec = SyntheticSpec(length=length, ground_set=50, skew=0.7, recency=0.2, rng_seed=3)
+        return list(generate_synthetic(spec))
+
+    long_keys = keys(2 * _BLOCK + 808)
+    assert all(1 <= k <= 50 for k in long_keys)
+    assert all(type(k) is int for k in long_keys)
+    for length in (_BLOCK, 2 * _BLOCK, 9000):
+        whole = length // _BLOCK * _BLOCK
+        assert keys(length)[:whole] == long_keys[:whole]
+    # a stream shorter than one block is no prefix of a longer stream
+    short = keys(5000)
+    assert sum(a != b for a, b in zip(short, long_keys)) == 4809
+
+
+# the block edges, and lengths drawn once from a fixed seed
+_REFERENCE_LENGTHS = [1, 3, 9, 10, 11, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 10,
+                      *random.Random(2024).sample(range(12, 3 * _BLOCK), 5)]
+
+
+@pytest.mark.parametrize("length", _REFERENCE_LENGTHS)
+def test_stream_matches_reference(length):
+    rnd = random.Random(length)
+    cases = [
+        (1, rnd.uniform(0.1, 1.5), rnd.random()),  # one key only
+        (rnd.randrange(2, 5000), 0.0, 0.0),  # uniform, Zipf branch only
+        (rnd.randrange(2, 5000), rnd.uniform(0.1, 1.5), 1.0),  # recent branch only
+        (rnd.randrange(2, 5000), rnd.uniform(0.1, 1.5), rnd.random()),
+    ]
+    for ground_set, skew, recency in cases:
+        spec = SyntheticSpec(length=length, ground_set=ground_set, skew=skew,
+                             recency=recency, rng_seed=rnd.randrange(10**6))
+        log: list = []
+        keys = list(generate_synthetic(spec, branch_log=log))
+        ref_keys, ref_log = reference_synthetic_stream(spec)
+        assert keys == ref_keys, spec
+        assert log == ref_log, spec
+        assert all(type(k) is int for k in keys)
+
+
+def test_block_opening_repeats_match_reference():
+    # at recency 1 the first event of block 2 re-emits a carried key; over
+    # 30 seeds its pick takes every buffer slot, the oldest one included
+    for seed in range(30):
+        spec = SyntheticSpec(length=_BLOCK + 5, ground_set=1000, skew=0.5,
+                             recency=1.0, rng_seed=seed)
+        assert list(generate_synthetic(spec)) == reference_synthetic_stream(spec)[0], seed
+
+
+def test_repeats_share_the_key_object_they_repeat():
+    # keys above 256 are not cached ints, so sharing is the generator's;
+    # it keeps a trace's memory and dict lookups as a per-event loop had them
+    spec = SyntheticSpec(length=2 * _BLOCK + 10, ground_set=10**6, skew=0.0,
+                         recency=1.0, rng_seed=8)
+    keys = list(generate_synthetic(spec))
+    first = keys[:10]
+    assert min(first) > 256
+    assert all(any(key is seen for seen in first) for key in keys[10:])
+
+
+def test_stream_is_lazy():
+    # a whole-trace implementation would allocate gigabytes here
+    spec = SyntheticSpec(length=10**9, ground_set=1000, skew=0.8, recency=0.5, rng_seed=6)
+    t0 = time.perf_counter()
+    head = list(itertools.islice(generate_synthetic(spec), 10))
+    assert time.perf_counter() - t0 < 5.0
+    assert len(head) == 10
+    assert all(type(k) is int for k in head)
+    one_block = SyntheticSpec(length=_BLOCK, ground_set=1000, skew=0.8, recency=0.5, rng_seed=6)
+    assert head == list(generate_synthetic(one_block))[:10]
 
 
 def test_first_events_always_zipf_branch():
