@@ -5,8 +5,8 @@ counting, LRU hits with a python list, the filtered policy and the
 chained-LRU baselines with every space a python list, the count-min
 sketch with one list per row and every access hashed afresh, replay
 counters by a pass over the list of outcomes, Zipf probabilities by
-direct summation, the synthetic stream one event at a time.  The test
-suite checks a fast path against each one.
+direct summation, the synthetic stream one event at a time, trace files
+one line at a time.  The test suite checks a fast path against each one.
 """
 
 from __future__ import annotations
@@ -14,13 +14,20 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter, deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .sketch import mix64
 from .spaces import PROTECTED_FRACTION
-from .workload import _BLOCK, RECENT_BUFFER, SyntheticSpec, zipf_cumulative
+from .workload import (
+    _BLOCK,
+    CHUNK_BYTES,
+    RECENT_BUFFER,
+    SyntheticSpec,
+    TraceFormatError,
+    zipf_cumulative,
+)
 
 _NO_VICTIM = object()  # no victim: None is a key like any other
 
@@ -363,3 +370,36 @@ def reference_synthetic_stream(spec: SyntheticSpec) -> tuple[list[int], list[boo
             keys.append(key)
             flags.append(bool(took_recent))
     return keys, flags
+
+
+def reference_ingest_trace(path) -> Iterator[str]:
+    """``ingest_trace``'s keys, parsed and expanded one line at a time.
+
+    Every line is stripped and split on commas on its own, and each of
+    a sized access's ceil(size / ``CHUNK_BYTES``) chunk keys (at least
+    one) is built with its own f-string and yielded on its own.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) > 2:
+                raise TraceFormatError(f"line {lineno}: too many fields: {line!r}")
+            key = parts[0].strip()
+            if not key:
+                raise TraceFormatError(f"line {lineno}: empty key: {line!r}")
+            if len(parts) == 1:
+                yield f"{key}#0"
+                continue
+            try:
+                size = int(parts[1].strip())
+            except ValueError:
+                raise TraceFormatError(
+                    f"line {lineno}: size is not an integer: {line!r}"
+                ) from None
+            if size < 0:
+                raise TraceFormatError(f"line {lineno}: negative size: {line!r}")
+            for i in range(max(1, (size + CHUNK_BYTES - 1) // CHUNK_BYTES)):
+                yield f"{key}#{i}"

@@ -111,10 +111,11 @@ class FrequencySketch:
     Between halvings a count grows by at most ``sample_size``.
 
     Keys may be ints, Python or numpy alike (hashed with a splitmix64-style
-    mixer), or strings (hashed with keyed blake2b); any other key hashes
-    as its ``str()``.  Neither path touches Python's salted ``hash()``, so
-    estimates are reproducible across processes.  Keys that compare equal
-    can hash apart (1 and 1.0 as "1.0").
+    mixer), or strings (hashed with blake2b keyed by the seed: the sketch
+    keys one state up front and hashes each string from a copy of it);
+    any other key hashes as its ``str()``.  Neither path touches Python's
+    salted ``hash()``, so estimates are reproducible across processes.
+    Keys that compare equal can hash apart (1 and 1.0 as "1.0").
 
     A bare sketch hashes its key on every ``record`` and ``estimate``.
     A replay binds its distinct keys up front with ``bind_keys``: each
@@ -134,7 +135,8 @@ class FrequencySketch:
     def __init__(self, config: SketchConfig, seed: int = 0):
         self.config = config
         self._seed = mix64(seed)
-        self._seed_bytes = self._seed.to_bytes(8, "little")
+        # keyed once here; a string hashes from a copy of this state
+        self._blake = hashlib.blake2b(digest_size=8, key=self._seed.to_bytes(8, "little"))
         self._cap = config.counter_cap
         self._sample_size = config.sample_size
         self._width = config.width
@@ -159,10 +161,9 @@ class FrequencySketch:
             if isinstance(key, (int, np.integer)):
                 return mix64(int(key) ^ self._seed)
             key = str(key)
-        digest = hashlib.blake2b(
-            key.encode("utf-8"), digest_size=8, key=self._seed_bytes
-        ).digest()
-        return int.from_bytes(digest, "little")
+        h = self._blake.copy()
+        h.update(key.encode("utf-8"))
+        return int.from_bytes(h.digest(), "little")
 
     def _slots(self, key) -> tuple[int, ...]:
         """Flat table index of ``key``'s counter in every row."""
@@ -197,15 +198,25 @@ class FrequencySketch:
         The table holds one array of counter indexes per row, so a bound
         key costs ``depth`` machine words.  A list whose first key is an
         int, Python or numpy, and that numpy reads as one signed or
-        unsigned integer array is hashed in one vectorized pass; any
-        other list key by key with ``_base``.  The bulk operations still
-        hash the keys they are given.
+        unsigned integer array is hashed in one vectorized pass.  A list
+        of exact ``str`` keys is hashed one digest per key, from copies of
+        the keyed blake2b state, and the joined digests are read as one
+        array.  Any other list is hashed key by key with ``_base``.  The
+        bulk operations still hash the keys they are given.
         """
         arr = None
         if len(keys) and isinstance(keys[0], (int, np.integer)):
             arr = np.asarray(keys)
         if arr is not None and arr.dtype.kind in "iu":
             bases = self._base_many(arr)
+        elif len(keys) and set(map(type, keys)) == {str}:
+            copy = self._blake.copy
+            digests = []
+            for key in keys:
+                h = copy()
+                h.update(key.encode("utf-8"))
+                digests.append(h.digest())
+            bases = np.frombuffer(b"".join(digests), dtype="<u8")
         else:
             bases = np.array([self._base(key) for key in keys], dtype=np.uint64)
         self._slot_rows = tuple(

@@ -8,13 +8,16 @@ re-emitted key is traced back to the Zipf draw it copies by pointer
 jumping over an array of source indexes.  The generator is lazy and
 yields Python ints, so its memory stays one block whatever the length.
 Trace files are plain text, one access per line, with optional byte
-sizes that expand into per-chunk keys.
+sizes that expand into per-chunk keys.  They are read one block of
+lines at a time, and each distinct line of a block is parsed and
+expanded once, so a repeated access costs one dict lookup.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -23,6 +26,10 @@ import numpy as np
 _BLOCK = 8192
 RECENT_BUFFER = 10  # recently emitted keys a recent-branch event picks from
 CHUNK_BYTES = 4096  # bytes per chunk key of a sized trace access
+_LINES_HINT = 1 << 15  # characters of trace text read per block
+# chunk i of an access is keyed key + "#i"; the suffixes of the first
+# 256 chunks (1 MiB) are built once
+_CHUNK_SUFFIXES = tuple(f"#{i}" for i in range(256))
 
 
 @dataclass(frozen=True)
@@ -137,40 +144,68 @@ def expand_chunks(key: str, size_bytes: int) -> list[str]:
     if size_bytes < 0:
         raise ValueError("size_bytes must be >= 0")
     n = max(1, -(-size_bytes // CHUNK_BYTES))
-    return [f"{key}#{i}" for i in range(n)]
+    keys = [key + suffix for suffix in _CHUNK_SUFFIXES[:n]]
+    keys += [f"{key}#{i}" for i in range(len(_CHUNK_SUFFIXES), n)]
+    return keys
 
 
 def ingest_trace(path) -> Iterator[str]:
     """Stream chunk keys from a text trace.
 
     Each non-empty, non-comment line is ``key`` or ``key,size_bytes``;
-    '#'-prefixed lines are comments.  A sized access expands into one
-    key per ``CHUNK_BYTES`` (``expand_chunks``); an unsized one counts
-    as one chunk.  Malformed lines raise TraceFormatError naming the line.
+    '#'-prefixed lines are comments, and whitespace around a line, its
+    key and its size is ignored.  A sized access expands into one key
+    per ``CHUNK_BYTES`` (as ``expand_chunks``); an unsized one counts as
+    one chunk.  A UTF-8 byte-order mark at the start of the file is
+    dropped.  Malformed lines raise TraceFormatError naming the line.
+
+    The file is read one block of about ``_LINES_HINT`` characters of
+    whole lines at a time, with universal newlines.  Within a block each
+    distinct line is parsed and expanded once, in first-seen order, and
+    its repeats reuse its keys; then the block's keys are yielded.  So
+    memory stays one block, and the keys of the good lines before a bad
+    one are yielded before its error is raised, as a line-by-line reader
+    would (``oracles.reference_ingest_trace``).  A first-seen bad line is
+    the block's first bad line, since a line parses the same wherever it
+    repeats.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) > 2:
-                raise TraceFormatError(f"line {lineno}: too many fields: {line!r}")
-            key = parts[0].strip()
-            if not key:
-                raise TraceFormatError(f"line {lineno}: empty key: {line!r}")
-            if len(parts) == 1:
-                yield f"{key}#0"
-                continue
-            try:
-                size = int(parts[1].strip())
-            except ValueError:
-                raise TraceFormatError(
-                    f"line {lineno}: size is not an integer: {line!r}"
-                ) from None
-            if size < 0:
-                raise TraceFormatError(f"line {lineno}: negative size: {line!r}")
-            yield from expand_chunks(key, size)
+    lineno = 0  # lines in the blocks before this one
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        while lines := fh.readlines(_LINES_HINT):
+            memo = dict.fromkeys(lines)  # raw line -> its chunk keys
+            bad = None
+            for raw in memo:
+                line = raw.strip()
+                if "," not in line:
+                    memo[raw] = (line + _CHUNK_SUFFIXES[0],) if line and line[0] != "#" else ()
+                    continue
+                if line[0] == "#":
+                    memo[raw] = ()
+                    continue
+                key, _, size = line.partition(",")
+                if "," in size:
+                    bad = raw, "too many fields"
+                    break
+                key = key.rstrip()
+                if not key:
+                    bad = raw, "empty key"
+                    break
+                try:
+                    size = int(size.strip())
+                except ValueError:
+                    bad = raw, "size is not an integer"
+                    break
+                if size < 0:
+                    bad = raw, "negative size"
+                    break
+                memo[raw] = expand_chunks(key, size)
+            if bad is not None:
+                raw, what = bad
+                at = lines.index(raw)
+                yield from chain.from_iterable(map(memo.__getitem__, lines[:at]))
+                raise TraceFormatError(f"line {lineno + at + 1}: {what}: {raw.strip()!r}")
+            yield from chain.from_iterable(map(memo.__getitem__, lines))
+            lineno += len(lines)
 
 
 def count_uniques(keys: Iterable) -> tuple[int, int]:

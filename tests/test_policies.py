@@ -21,6 +21,7 @@ from bidifilter import (
     SketchConfig,
     compile_trace,
     hit_at_level,
+    ingest_trace,
     make_policy,
     run_single,
 )
@@ -349,6 +350,28 @@ def test_sketch_state_depends_on_the_trace_alone():
                 expected, _ = reference_sketch_counters(keys, cfg, seed)[-1]
                 assert pol.sketch.counters.tolist() == [list(row) for row in expected], \
                     (caps, wf, tie)
+
+
+def test_bound_replay_over_chunk_keys_matches_reference_sketch(tmp_path):
+    # an all-str key list binds through joined blake2b digests; the counters
+    # a bound replay leaves must be those of an independent blake2b sketch
+    rnd = random.Random(53)
+    sizes = [rnd.choice([0, 4096, 4097, 20_000, 70_000]) for _ in range(150)]
+    trace_file = tmp_path / "objects.trace"
+    trace_file.write_text("".join(
+        f"obj-{o},{sizes[o]}\n" for o in (rnd.randrange(150) for _ in range(600))
+    ))
+    keys = list(ingest_trace(trace_file))
+    assert len(set(keys)) > 300
+    for seed in (0, 77):
+        cfg = SketchConfig(sample_size=400, tracked_capacity=40, depth=4)
+        trace = compile_trace(keys)
+        pol = CascadeFilter((8, 32), tie_break="reject",
+                            sketch=FrequencySketch(cfg, seed=seed))
+        pol.bind_keys(trace.keys)
+        run(pol, trace)
+        expected, _ = reference_sketch_counters(keys, cfg, seed)[-1]
+        assert pol.sketch.counters.tolist() == [list(row) for row in expected], seed
 
 
 def test_chain_kinds_match_list_reference():

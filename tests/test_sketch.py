@@ -320,12 +320,16 @@ def test_scalar_ops_match_reference_after_every_record(kind):
 def test_slot_table_matches_scalar_slots():
     # int keys, Python or numpy, that numpy reads as one integer array are
     # hashed in one vectorized pass, negative and unsigned ones included;
-    # lists numpy reads as float or object, and str keys, key by key
+    # all-str lists from joined blake2b digests; lists numpy reads as float
+    # or object, and lists that mix str with other keys, key by key
     cfg = SketchConfig(sample_size=50, tracked_capacity=5, depth=4, width=64)
     key_lists = [
         [*range(-300, 300), 2**63 - 1, -(2**63)],
         [5, -7, 2**63, 2**70 + 1, -(2**65), 0],
         ["a", "chunk#3", "é", "", "1"],
+        [f"obj-{i // 7}#{i % 7}" for i in range(2000)],
+        ["a", 2.5, None, "b"],
+        ["x", 1, "y"],
         [],
         [np.int64(k) for k in (-5, 0, 7, 2**63 - 1, -(2**63))],
         [np.uint64(2**63), np.uint64(2**64 - 1), np.uint64(3)],

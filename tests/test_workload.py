@@ -7,7 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bidifilter.oracles import exact_zipf_probabilities, reference_synthetic_stream
+from bidifilter import workload
+from bidifilter.oracles import (
+    exact_zipf_probabilities,
+    reference_ingest_trace,
+    reference_synthetic_stream,
+)
 from bidifilter.workload import (
     _BLOCK,
     SyntheticSpec,
@@ -223,6 +228,10 @@ def test_expand_chunks():
     assert expand_chunks("k", 4097) == ["k#0", "k#1"]
     assert expand_chunks("k", 12288) == ["k#0", "k#1", "k#2"]
     assert expand_chunks("k", 12289) == ["k#0", "k#1", "k#2", "k#3"]
+    # past 256 chunks (1 MiB) the keys carry on in the same form
+    big = expand_chunks("k", (1 << 20) + 1)
+    assert len(big) == 257 and big[255:] == ["k#255", "k#256"]
+    assert expand_chunks("k", 3 << 20) == [f"k#{i}" for i in range(768)]
     with pytest.raises(ValueError):
         expand_chunks("k", -1)
 
@@ -267,6 +276,70 @@ def test_ingest_trace_is_lazy(tmp_path):
     assert next(it) == "ok#0"
     with pytest.raises(TraceFormatError):
         next(it)
+
+
+def test_ingest_trace_drops_a_byte_order_mark(tmp_path):
+    # the mark belongs to the encoding, not to the first line
+    trace = tmp_path / "bom.txt"
+    trace.write_bytes("\ufeff# header\nk,5\n".encode("utf-8"))
+    assert list(ingest_trace(trace)) == ["k#0"]
+    trace.write_bytes("\ufeffk\r\nk\n".encode("utf-8"))
+    assert list(ingest_trace(trace)) == ["k#0", "k#0"]
+
+
+def _drain(keys):
+    """(keys read, error message or None) of a trace key stream."""
+    out = []
+    try:
+        for key in keys:
+            out.append(key)
+    except TraceFormatError as exc:
+        return out, str(exc)
+    return out, None
+
+
+_KEYS = ["a", "obj-17", "k#3", "é", "x y", "12", "v.1"]
+_SIZES = [0, 1, 4095, 4096, 4097, 12288, 1 << 20, (1 << 20) + 1, 3 << 20]
+_BLANKS = ["", " ", "\t", " \x0b\x0c ", "\u2028", "\x1c"]
+_BAD = ["a,b,c", ",5", " , 7", "k,notanint", "k,", "k,1.5", "k,-3", "k,1,", ",,"]
+
+
+def _random_line(rnd):
+    ws = lambda: rnd.choice(["", "", " ", "\t", "\x0b", "\x1c", "\u2028", "  "])
+    roll = rnd.random()
+    if roll < 0.1:
+        return rnd.choice(_BLANKS)
+    if roll < 0.2:
+        return ws() + rnd.choice(["# c", "#", "#a,b,c", "# 1,2"])
+    key = ws() + rnd.choice(_KEYS) + ws()
+    if roll < 0.45:
+        return key
+    size = rnd.choice(_SIZES) if rnd.random() < 0.7 else rnd.randrange(50_000)
+    return f"{key},{ws()}{size}{ws()}"
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_ingest_trace_matches_line_by_line_reference(tmp_path, monkeypatch, trial):
+    # CRLF, lone-CR and LF endings, comments, blank lines, whitespace
+    # (line separators Python's str.splitlines would split on included),
+    # sizes on and around chunk and 1 MiB edges, lines repeated within and
+    # across blocks of a few lines each, and at times one malformed line:
+    # the same keys come back, and the same error after the same keys
+    rnd = random.Random(trial)
+    pool = [_random_line(rnd) for _ in range(rnd.randint(1, 12))]
+    lines = [rnd.choice(pool) for _ in range(rnd.randint(1, 80))]
+    if trial % 3:
+        lines.insert(rnd.randint(0, len(lines)), rnd.choice(_BAD))
+    text = "".join(line + rnd.choice(["\n", "\r\n", "\r"]) for line in lines)
+    if rnd.random() < 0.3:
+        text = text.rstrip("\r\n")  # no end of line after the last line
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(workload, "_LINES_HINT", rnd.choice([1, 5, 17, 60, 1 << 15]))
+    got = _drain(ingest_trace(trace))
+    assert got == _drain(reference_ingest_trace(trace))
+    if trial % 3:
+        assert got[1] is not None  # the malformed line was reached
 
 
 def test_synthetic_feeds_policies_without_surprises():
