@@ -10,6 +10,7 @@ to the last bit.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ from .policies import HIT_L1_VETERANS, HIT_L1_WINDOW, MISS, AccessOutcome, hit_a
 
 @dataclass(frozen=True)
 class LatencyParams:
-    """Access costs in nanoseconds: one per cache level, plus the miss cost."""
+    """Access costs in nanoseconds, each finite and > 0: one per cache
+    level, plus the miss cost."""
 
     level_ns: tuple[float, ...] = (100.0, 200_000.0)
     miss_ns: float = 2_000_000.0
@@ -27,8 +29,9 @@ class LatencyParams:
         object.__setattr__(self, "level_ns", tuple(self.level_ns))
         if not self.level_ns:
             raise ValueError("need at least one level latency")
-        if any(t <= 0 for t in self.level_ns) or self.miss_ns <= 0:
-            raise ValueError("latencies must be positive")
+        times = (*self.level_ns, self.miss_ns)
+        if not all(math.isfinite(t) and t > 0 for t in times):
+            raise ValueError(f"latencies must be finite and positive, got {times}")
 
 
 # DRAM-vs-flash style alternative where misses are cheap reads from the

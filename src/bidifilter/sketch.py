@@ -10,6 +10,11 @@ record is one plain increment per row.  Capping on read gives the same
 observable state as saturating on write, since ``min(min(u, cap) + 1,
 cap) == min(u + 1, cap)`` for any count ``u``, and halving caps before
 it shifts.
+
+There is one way to count and one way to read: the scalar ``record``
+and ``estimate``.  A replay binds its distinct keys first
+(``FrequencySketch.bind_keys``), which hashes them in one batch, and
+then passes key ids to those same two calls.
 """
 
 from __future__ import annotations
@@ -55,8 +60,7 @@ class SketchConfig:
 
     sample_size: increments between aging halvings (W).
     tracked_capacity: cache capacity the sketch protects (C); together with
-        sample_size it fixes the counter saturation cap ceil(W/C), which
-        also sets how wide ``FrequencySketch.counters`` reports them.
+        sample_size it fixes the counter saturation cap ceil(W/C).
     depth: rows; a key has one counter in each.
     width: counters per row: a power of two >= C, by default the smallest.
 
@@ -106,8 +110,8 @@ class FrequencySketch:
 
     The counter table is a flat list of Python ints holding unsaturated
     counts: ``record`` adds one per row, and every read (``estimate``,
-    ``counters``, ``halve``, the bulk operations) caps what it reads, so
-    what can be observed is the saturating sketch's state exactly.
+    ``counters``, ``halve``) caps what it reads, so what can be observed
+    is the saturating sketch's state exactly.
     Between halvings a count grows by at most ``sample_size``.
 
     Keys may be ints, Python or numpy alike (hashed with a splitmix64-style
@@ -125,11 +129,6 @@ class FrequencySketch:
     equal keys (``harness.compile_trace``), so the sketch counts them as
     the one key the cache treats them as.  The table lives as long as
     the sketch; halving ages the counters and leaves it alone.
-
-    ``record_many``/``estimate_many`` are vectorized twins of the scalar
-    operations for integer key arrays; they produce bit-identical counter
-    state (saturating adds commute, and batches are split at halving
-    boundaries).
     """
 
     def __init__(self, config: SketchConfig, seed: int = 0):
@@ -141,10 +140,6 @@ class FrequencySketch:
         self._sample_size = config.sample_size
         self._width = config.width
         self._depth = config.depth
-        # ``counters`` reports the narrowest unsigned type that holds the cap
-        self._dtype = np.dtype(
-            np.uint8 if self._cap <= 0xFF else (np.uint16 if self._cap <= 0xFFFF else np.uint64)
-        )
         self._table = [0] * (self._depth * self._width)  # unsaturated counts
         self._mask = self._width - 1
         # (row offset, odd multiplier) per row; multipliers are fixed constants
@@ -189,7 +184,7 @@ class FrequencySketch:
         x ^= x >> np.uint64(32)
         return (x & np.uint64(self._mask)).astype(np.intp)
 
-    # -- scalar operations -------------------------------------------------
+    # -- operations ----------------------------------------------------------
 
     def bind_keys(self, keys) -> None:
         """Hash every key in ``keys`` once; afterwards ``record`` and
@@ -201,8 +196,8 @@ class FrequencySketch:
         unsigned integer array is hashed in one vectorized pass.  A list
         of exact ``str`` keys is hashed one digest per key, from copies of
         the keyed blake2b state, and the joined digests are read as one
-        array.  Any other list is hashed key by key with ``_base``.  The
-        bulk operations still hash the keys they are given.
+        array.  Any other list is hashed key by key with ``_base``; an
+        unbound sketch hashes each key as ``record``/``estimate`` see it.
         """
         arr = None
         if len(keys) and isinstance(keys[0], (int, np.integer)):
@@ -261,56 +256,11 @@ class FrequencySketch:
         cap = self._cap
         self._table = [(c if c < cap else cap) >> 1 for c in self._table]
 
-    def _capped(self) -> np.ndarray:
-        """The counter table as a flat int64 array, every count capped."""
-        return np.minimum(np.array(self._table, dtype=np.int64), self._cap)
-
     @property
     def counters(self) -> np.ndarray:
-        """Read-only (depth, width) snapshot of the counter matrix."""
-        snap = self._capped().astype(self._dtype).reshape(self._depth, self._width)
+        """Read-only (depth, width) int64 snapshot of the counter matrix,
+        every count capped."""
+        snap = np.minimum(np.array(self._table, dtype=np.int64), self._cap)
+        snap = snap.reshape(self._depth, self._width)
         snap.flags.writeable = False
         return snap
-
-    # -- bulk operations ----------------------------------------------------
-
-    def record_many(self, keys) -> None:
-        """Record a batch of integer keys; state matches scalar record calls."""
-        arr = np.asarray(keys)
-        if arr.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise TypeError("record_many accepts integer keys only")
-        bases = self._base_many(arr)
-        view = self._capped()
-        cap = self._cap
-        n = len(bases)
-        pos = 0
-        while pos < n:
-            room = self._sample_size - self.increments_since_reset
-            take = min(room, n - pos)
-            chunk = bases[pos : pos + take]
-            for off, mult in self._rows:
-                idx = self._indexes_many(chunk, mult)
-                counts = np.bincount(idx, minlength=self._width)
-                row = view[off : off + self._width]
-                np.minimum(row + counts, cap, out=row)
-            self.increments_since_reset += take
-            pos += take
-            if self.increments_since_reset >= self._sample_size:
-                view >>= 1  # every count is capped already
-                self.increments_since_reset = 0
-        self._table = view.tolist()
-
-    def estimate_many(self, keys) -> np.ndarray:
-        """Vectorized estimate for a batch of integer keys."""
-        arr = np.asarray(keys)
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise TypeError("estimate_many accepts integer keys only")
-        bases = self._base_many(arr)
-        view = self._capped()
-        best = None
-        for off, mult in self._rows:
-            vals = view[off + self._indexes_many(bases, mult)]
-            best = vals if best is None else np.minimum(best, vals)
-        return best.astype(np.int64)

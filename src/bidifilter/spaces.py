@@ -11,10 +11,18 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from numbers import Integral
 
 PROTECTED_FRACTION = 0.8  # share of an SlruSpace's capacity that is protected
 
 _NO_VICTIM = object()  # no eviction happened, or none would
+
+
+def _check_capacity(capacity) -> int:
+    """The capacity as a Python int: an integer >= 0, numpy ints included."""
+    if not (isinstance(capacity, Integral) and capacity >= 0):
+        raise ValueError(f"capacity must be an integer >= 0, got {capacity!r}")
+    return int(capacity)
 
 
 class _Space:
@@ -29,9 +37,7 @@ class LruSpace(_Space):
     """Plain LRU order over hashable keys. Victim is the least recent."""
 
     def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
+        self.capacity = _check_capacity(capacity)
         self.insert_count = 0
         self._od: OrderedDict = OrderedDict()
 
@@ -85,9 +91,7 @@ class SlruSpace(_Space):
     """
 
     def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
+        self.capacity = _check_capacity(capacity)
         self.protected_capacity = math.ceil(PROTECTED_FRACTION * capacity)
         self.insert_count = 0
         self._probation: OrderedDict = OrderedDict()

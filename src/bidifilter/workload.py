@@ -16,6 +16,7 @@ expanded once, so a repeated access costs one dict lookup.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -54,8 +55,8 @@ class SyntheticSpec:
             raise ValueError("length must be >= 1")
         if self.ground_set < 1:
             raise ValueError("ground_set must be >= 1")
-        if self.skew < 0.0:
-            raise ValueError("skew must be >= 0")
+        if not (math.isfinite(self.skew) and self.skew >= 0.0):
+            raise ValueError(f"skew must be finite and >= 0, got {self.skew!r}")
         if not 0.0 <= self.recency <= 1.0:
             raise ValueError("recency must be in [0, 1]")
 

@@ -57,7 +57,9 @@ def _emit(capsys, index, label, ok, detail):
 def test_sketch_estimates_are_sound(capsys):
     # 100 randomized trials of 1e5 records over <= 1e4 keys; estimates may
     # never fall below min(true count, counter cap), and at depth 4 and
-    # width 2^16 almost nothing should be overestimated either
+    # width 2^16 almost nothing should be overestimated either.  Each trial
+    # counts the way a filtered replay does: bind the keys, then record and
+    # estimate by key id
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     cfg = SketchConfig(sample_size=200_000, tracked_capacity=10_000, width=2**16)
@@ -69,11 +71,14 @@ def test_sketch_estimates_are_sound(capsys):
         n_keys = int(rng.integers(1_000, 10_001))
         sketch = FrequencySketch(cfg, seed=int(rng.integers(0, 2**63)))
         keys = rng.integers(0, n_keys, size=100_000)
-        sketch.record_many(keys)
+        sketch.bind_keys(list(range(n_keys)))  # key k has id k
+        record = sketch.record
+        for key in keys.tolist():
+            record(key)
         counts = np.bincount(keys, minlength=n_keys)
         present = np.nonzero(counts)[0]
         floor = np.minimum(counts[present], cap)
-        estimates = sketch.estimate_many(present)
+        estimates = np.array([sketch.estimate(key) for key in present.tolist()])
         violations += int(np.sum(estimates < floor))
         overestimated += int(np.sum(estimates > floor))
         keys_seen += len(present)

@@ -207,6 +207,25 @@ def test_sweep_unknown_policy_errors(capsys):
     assert "Bogus" in err
 
 
+@pytest.mark.parametrize("args, fragment", [
+    (("--synthetic", "2000:50:0.8:0.1", "--latency", "100,inf,2000000"),
+     "latencies must be finite and positive"),
+    (("--synthetic", "2000:50:0.8:0.1", "--latency", "100,200000,nan"),
+     "latencies must be finite and positive"),
+    (("--synthetic", "2000:50:nan:0.1"), "skew must be finite and >= 0"),
+    (("--synthetic", "2000:50:inf:0.1"), "skew must be finite and >= 0"),
+], ids=["latency-inf", "latency-nan", "skew-nan", "skew-inf"])
+def test_run_refuses_non_finite_values_before_any_replay(capsys, monkeypatch, args, fragment):
+    def no_replay(*args, **kwargs):
+        raise AssertionError("a cell was replayed")
+
+    monkeypatch.setattr(harness, "run_single", no_replay)
+    code, out, err = run_cli(capsys, "run", *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_sweep_refuses_deep_united_before_any_replay(capsys, monkeypatch):
     def no_replay(*args, **kwargs):
         raise AssertionError("a cell was replayed")

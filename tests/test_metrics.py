@@ -40,6 +40,18 @@ def test_latency_params_validation():
     assert FAST_MISS_LATENCY.miss_ns == 100.0
 
 
+@pytest.mark.parametrize("level_ns, miss_ns", [
+    ((100.0, math.inf), 2e6),
+    ((100.0, math.nan), 2e6),
+    ((100.0, 200.0), math.inf),
+    ((100.0, 200.0), math.nan),
+    ((-math.inf, 200.0), 2e6),
+])
+def test_latency_params_must_be_finite(level_ns, miss_ns):
+    with pytest.raises(ValueError, match="finite and positive"):
+        LatencyParams(level_ns, miss_ns)
+
+
 def test_simstats_counting_and_closure():
     s = SimStats(2)
     s.add(AccessOutcome(MISS, ((1, 1), (2, 1))))

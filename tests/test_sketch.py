@@ -114,27 +114,10 @@ def test_halving_caps_before_it_shifts():
     sk = FrequencySketch(SketchConfig(sample_size=160, tracked_capacity=16), seed=4)
     for _ in range(15):
         sk.record(0)
-    assert sk.estimate(0) == sk.estimate_many(np.array([0]))[0] == 10
+    assert sk.estimate(0) == 10
     assert sk.counters.max() == 10
     sk.halve()
     assert sk.estimate(0) == 5 and sk.counters.max() == 5
-
-
-def test_bulk_record_continues_from_counts_past_the_cap():
-    # scalar records leave counts above the cap; a batch that crosses the
-    # halving boundary must read them capped
-    cfg = SketchConfig(sample_size=160, tracked_capacity=16)
-    scalar, mixed = FrequencySketch(cfg, seed=4), FrequencySketch(cfg, seed=4)
-    for sk in (scalar, mixed):
-        for _ in range(15):
-            sk.record(0)
-    mixed.record_many(np.zeros(146, dtype=np.int64))
-    for _ in range(146):
-        scalar.record(0)
-    # halved at 160 records from the cap of 10, then one more record
-    assert scalar.increments_since_reset == mixed.increments_since_reset == 1
-    assert (scalar.counters == mixed.counters).all()
-    assert scalar.estimate(0) == mixed.estimate(0) == 6
 
 
 def test_halve_nonincreasing_elementwise():
@@ -189,12 +172,14 @@ def test_bounded_overestimate_single_trial():
     keys = rng.integers(0, 10_000, size=100_000)
     cfg = SketchConfig(sample_size=150_000, tracked_capacity=10_000, width=2**16)
     sk = FrequencySketch(cfg, seed=7)
-    sk.record_many(keys)
+    sk.bind_keys(list(range(10_000)))  # key k has id k
+    for key in keys.tolist():
+        sk.record(key)
     counts = exact_counts(keys.tolist())
     cap = cfg.counter_cap
     over = sum(
         1 for key, exact in counts.items()
-        if exact < cap and sk.estimate(int(key)) > exact
+        if exact < cap and sk.estimate(key) > exact
     )
     assert over / len(counts) < 0.01
 
@@ -208,52 +193,19 @@ def test_aging_boundedness():
         assert 0 <= sk.increments_since_reset < cfg.sample_size
 
 
-def test_scalar_and_bulk_paths_match_exactly():
-    rnd = random.Random(10)
-    for trial in range(8):
-        cfg = SketchConfig(
-            sample_size=rnd.randint(5, 80),
-            tracked_capacity=rnd.randint(1, 8),
-            depth=rnd.randint(1, 5),
-            width=rnd.choice([8, 16, 32, 64]),
-        )
-        s1 = FrequencySketch(cfg, seed=trial)
-        s2 = FrequencySketch(cfg, seed=trial)
-        keys = [rnd.randint(-100, 100) for _ in range(600)]
-        for k in keys:
-            s1.record(k)
-        s2.record_many(np.array(keys, dtype=np.int64))
-        assert (s1.counters == s2.counters).all()
-        assert s1.increments_since_reset == s2.increments_since_reset
-        queries = np.arange(-110, 111)
-        bulk = s2.estimate_many(queries)
-        assert all(bulk[i] == s1.estimate(int(q)) for i, q in enumerate(queries))
-
-
 def test_numpy_and_python_int_keys_are_the_same_key():
     # a numpy-typed trace must count and estimate exactly like python ints
     cfg = SketchConfig(sample_size=1000, tracked_capacity=128)
-    py, npy, bulk = (FrequencySketch(cfg, seed=4) for _ in range(3))
+    py, npy = (FrequencySketch(cfg, seed=4) for _ in range(2))
     keys = list(range(1, 200))
     for k in keys:
         py.record(k)
         npy.record(np.int64(k))
-    bulk.record_many(np.array(keys, dtype=np.int64))
     assert (py.counters == npy.counters).all()
-    assert (py.counters == bulk.counters).all()
     for k in (5, 77, 500):
         expected = py.estimate(k)
         assert npy.estimate(np.int64(k)) == expected
         assert npy.estimate(np.uint32(k)) == expected
-        assert bulk.estimate_many(np.array([k]))[0] == expected
-
-
-def test_bulk_rejects_non_integer_keys():
-    sk = FrequencySketch(SketchConfig(sample_size=10, tracked_capacity=1), seed=0)
-    with pytest.raises(TypeError):
-        sk.record_many(np.array(["a", "b"]))
-    with pytest.raises(TypeError):
-        sk.estimate_many(np.array([1.5, 2.5]))
 
 
 def test_string_and_int_keys_are_independent_spaces():

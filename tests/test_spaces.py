@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from bidifilter import LruSpace, SlruSpace
@@ -49,6 +50,20 @@ def test_lru_errors():
         sp.touch("zzz")
     with pytest.raises(KeyError):
         sp.remove("zzz")
+
+
+@pytest.mark.parametrize("space", [LruSpace, SlruSpace])
+def test_capacity_must_be_an_integer(space):
+    for bad in (2.5, 2.0, -1, "3", None):
+        with pytest.raises(ValueError, match="capacity must be an integer >= 0"):
+            space(bad)
+    for good in (0, 3, np.int64(3), np.uint8(3)):
+        sp = space(good)
+        assert sp.capacity == int(good) and type(sp.capacity) is int
+    sp = space(np.int32(2))
+    for k in "abc":
+        sp.push(k)
+    assert list(sp.keys()) == ["b", "c"]
 
 
 def test_remove_last_element():

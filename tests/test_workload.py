@@ -33,6 +33,8 @@ def test_spec_validation():
         ("length", 0),
         ("ground_set", 0),
         ("skew", -0.1),
+        ("skew", float("nan")),
+        ("skew", float("inf")),
         ("recency", 1.5),
         ("recency", -0.1),
     ]:
