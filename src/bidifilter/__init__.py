@@ -7,6 +7,7 @@ from .harness import (
     SweepSpec,
     compile_trace,
     level_capacities_for,
+    lru_profile,
     run_single,
     run_sweep,
     trace_label,
@@ -64,7 +65,7 @@ __all__ = [
     "avg_read_latency", "avg_rw_latency", "compile_trace",
     "count_uniques", "derive_seed", "expand_chunks", "generate_synthetic",
     "hit_at_level", "hit_ratio", "ingest_trace",
-    "level_capacities_for", "make_policy", "mix64", "run_single",
+    "level_capacities_for", "lru_profile", "make_policy", "mix64", "run_single",
     "run_sweep", "stream_digest", "trace_label", "write_rows",
     "write_rows_csv", "write_rows_jsonl", "zipf_cumulative",
 ]

@@ -8,8 +8,13 @@ share one entry in the policies' dicts, and the key seen first stands
 for it.  The policy's sketch is bound to that list, so each distinct key
 is hashed once per cell, into a slot table indexed by id.
 
-A sweep reads and compiles its trace once, and every (policy, geometry)
-cell replays the compiled trace; under ``jobs > 1`` each worker process
+A sweep reads and compiles its trace once.  Demote is one global LRU
+order spread across the levels, so its cells need no replay: the
+trace's LRU profile (``lru_profile``: each access's stack distance, as
+in Mattson et al., "Evaluation techniques for storage hierarchies",
+1970) is computed once and gives every Demote cell at every geometry
+(``Demote.outcome_counts``).  Every other (policy, geometry) cell
+replays the compiled trace; under ``jobs > 1`` each worker process
 receives it once, when it starts.  A first pass counts distinct keys so
 capacities can be expressed as fractions of the workload's footprint.
 Every cell gets its own seed derived from the master seed and the cell
@@ -27,8 +32,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .metrics import LatencyParams, SimStats, avg_read_latency, avg_rw_latency, hit_ratio
-from .policies import PolicySpec, make_policy
+from .policies import Demote, PolicySpec, make_policy
 from .sketch import derive_seed
 from .workload import SyntheticSpec, count_uniques, generate_synthetic, ingest_trace
 
@@ -121,9 +128,17 @@ def run_single(
         policy.bind_keys(trace.keys)
     stats = SimStats(policy.n_levels)
     stats.add_all(map(policy.handle, trace))
+    return _result_row(policy_spec, stats, latency, trace_id)
+
+
+def _result_row(
+    policy_spec: PolicySpec, stats: SimStats, latency: LatencyParams, trace_id: str
+) -> ResultRow:
+    """The row of one cell from its outcome histogram, checked once."""
     if stats.requests == 0:
         raise ValueError("trace is empty")
     stats.check()
+    filtered = policy_spec.kind in _FILTERED_KINDS
     united = policy_spec.kind == "BiDiFilterUnited"
     return ResultRow(
         trace_id=trace_id,
@@ -144,6 +159,62 @@ def run_single(
         avg_rw_latency_ns=avg_rw_latency(stats, latency),
         rng_seed=policy_spec.rng_seed,
     )
+
+
+def lru_profile(trace: CompiledTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Each access's LRU stack distance, and the distinct keys before it.
+
+    The stack distance of access i is 1 + the number of distinct keys
+    requested since the previous access to its key, at index p, and 0
+    for a first access.  Every access at or before p has its own
+    previous access before p, so with ``prev`` the index of each
+    access's previous access (-1 for none) it equals
+    #{j < i : prev[j] < p} - p.  Those counts come from one pass per bit
+    of ``v = prev + 1`` over a wavelet matrix, most significant bit
+    first: the order at each level is stable by the bits above it, so
+    the accesses j < i that share those bits with i sit in one run just
+    before i, and when i has the level's bit set, the zeros in that run
+    are the accesses whose v is smaller at this bit.  Memory is a few
+    arrays of the trace's length.
+    """
+    ids = np.frombuffer(trace.ids, dtype=np.uint32)
+    n = len(ids)
+    dtype = np.int32 if n < 2**31 else np.int64
+    by_key = np.argsort(ids, kind="stable")
+    repeat = np.flatnonzero(ids[by_key[1:]] == ids[by_key[:-1]]) + 1
+    v = np.zeros(n, dtype=dtype)  # prev + 1: 0 for a first access
+    v[by_key[repeat]] = by_key[repeat - 1] + 1
+    del by_key, repeat
+    # in level order: each access's v, its original index, the start of
+    # its run of equal high bits, and its count of smaller v so far
+    vals, where = v, np.arange(n, dtype=dtype)
+    start = np.zeros(n, dtype=dtype)
+    smaller = np.zeros(n, dtype=dtype)
+    zeros = np.zeros(n + 1, dtype=dtype)  # zeros[k]: clear bits before position k
+    for bit in reversed(range(max(1, (n - 1).bit_length()))):
+        ones = (vals >> bit & 1).astype(bool)
+        np.cumsum(~ones, out=zeros[1:])
+        zeros_to_start = zeros[start]
+        smaller += np.where(ones, zeros[:-1] - zeros_to_start, 0)
+        start = np.where(ones, zeros[-1] + start - zeros_to_start, zeros_to_start)
+        # stable partition: clear bits first, each side in its old order
+        order = np.concatenate((np.flatnonzero(~ones), np.flatnonzero(ones)))
+        vals, where, start, smaller = vals[order], where[order], start[order], smaller[order]
+    distances = np.empty(n, dtype=dtype)
+    distances[where] = smaller
+    first = v == 0
+    distances = np.where(first, 0, distances - v + 1)
+    distinct_before = np.cumsum(first, dtype=dtype) - first
+    return distances, distinct_before
+
+
+def _profile_row(
+    policy_spec: PolicySpec, profile, latency: LatencyParams, trace_id: str
+) -> ResultRow:
+    """A Demote cell's row from the trace's ``lru_profile``, unreplayed."""
+    stats = SimStats(policy_spec.n_levels)
+    stats.counts.update(Demote(policy_spec.level_capacities).outcome_counts(*profile))
+    return _result_row(policy_spec, stats, latency, trace_id)
 
 
 @dataclass(frozen=True)
@@ -232,8 +303,11 @@ def _run_worker_cell(spec: PolicySpec) -> ResultRow:
 def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
     """All cells of a sweep, in deterministic (policy, percent, ratio) order.
 
-    ``jobs`` bounds the worker processes; a sweep starts at most one per
-    cell, and none when it runs serially.
+    The Demote cells come from one ``lru_profile`` of the trace, which
+    this process computes, when the sweep has any, after every other
+    cell has replayed the trace.  ``jobs`` bounds the worker processes; a
+    sweep starts at most one per replayed cell, and none when it replays
+    serially.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -255,7 +329,8 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
                 )
                 specs.append(spec)
                 index += 1
-    workers = min(jobs, len(specs))
+    replayed = [spec for spec in specs if spec.kind != "Demote"]
+    workers = min(jobs, len(replayed))
     if workers > 1:
         # each worker receives the trace once, at start-up (inherited
         # under fork); a task carries only its PolicySpec
@@ -264,8 +339,16 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
             initializer=_share_with_worker,
             initargs=(trace, sweep.latency, label),
         ) as pool:
-            return list(pool.map(_run_worker_cell, specs))
-    return [run_single(spec, trace, sweep.latency, trace_id=label) for spec in specs]
+            replays = list(pool.map(_run_worker_cell, replayed))
+    else:
+        replays = [run_single(spec, trace, sweep.latency, trace_id=label) for spec in replayed]
+    profile = lru_profile(trace) if len(replays) < len(specs) else None
+    replays = iter(replays)
+    return [
+        _profile_row(spec, profile, sweep.latency, label) if spec.kind == "Demote"
+        else next(replays)
+        for spec in specs
+    ]
 
 
 def write_rows_csv(rows: Sequence[ResultRow], fh) -> None:

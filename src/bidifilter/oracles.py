@@ -1,12 +1,13 @@
 """Deliberately slow reference implementations, for tests only.
 
 Everything here favors obviousness over speed: exact counts by plain
-counting, LRU hits with a python list, the filtered policy and the
-chained-LRU baselines with every space a python list, the count-min
-sketch with one list per row and every access hashed afresh, replay
-counters by a pass over the list of outcomes, Zipf probabilities by
-direct summation, the synthetic stream one event at a time, trace files
-one line at a time.  The test suite checks a fast path against each one.
+counting, LRU hits and LRU stack distances with a python list, the
+filtered policy and the chained-LRU baselines with every space a python
+list, the count-min sketch with one list per row and every access
+hashed afresh, replay counters by a pass over the list of outcomes,
+Zipf probabilities by direct summation, the synthetic stream one event
+at a time, trace files one line at a time.  The test suite checks a
+fast path against each one.
 """
 
 from __future__ import annotations
@@ -56,6 +57,22 @@ def reference_lru_hits(keys: Sequence, capacity: int) -> int:
             if len(cache) > capacity:
                 cache.pop(0)
     return hits
+
+
+def reference_stack_distances(keys: Sequence) -> list[int]:
+    """Each access's 1-based LRU stack distance (0 for a first access),
+    from an LRU stack kept as a python list."""
+    stack: list = []  # index 0 is the most recently used
+    distances = []
+    for key in keys:
+        if key in stack:
+            depth = stack.index(key)
+            del stack[depth]
+            distances.append(depth + 1)
+        else:
+            distances.append(0)
+        stack.insert(0, key)
+    return distances
 
 
 def reference_filter_outcomes(

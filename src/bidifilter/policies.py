@@ -40,17 +40,22 @@ probability p, write each demotion victim onward with probability q).
 Its two named shorthands are ``Demote`` (p = q = 1: one global LRU order
 across the levels) and ``NaiveLRU`` (p = 0, q = 1: independent levels,
 hits never move items up).  ``oracles.reference_chain_outcomes``
-restates it with python lists.  Policies with a single undivided L1
-report L1 hits in the window bucket.
+restates it with python lists.  Demote's whole histogram also follows
+from a trace's LRU stack distances (``Demote.outcome_counts``), which a
+sweep uses in place of replaying it.  Policies with a single undivided
+L1 report L1 hits in the window bucket.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
+
+import numpy as np
 
 from .sketch import FrequencySketch, SketchConfig, mix64
 from .spaces import _NO_VICTIM, LruSpace, SlruSpace
@@ -435,6 +440,37 @@ class Demote(Promote):
 
     def __init__(self, level_capacities):
         super().__init__(level_capacities, promote_prob=1.0, demote_prob=1.0)
+
+    def outcome_counts(self, distances, distinct_before) -> Counter:
+        """The histogram a replay of a trace would give, from the trace's
+        LRU profile (``harness.lru_profile``) in place of a replay.
+
+        ``distances[i]`` is request i's 1-based LRU stack distance (0 for
+        a first access) and ``distinct_before[i]`` the count of distinct
+        keys before it, both numpy integer arrays.  With B_L the
+        capacity of levels 1..L and C the total, a request at
+        B_{L-1} < d <= B_L hits level L: at L1 it writes nothing, deeper
+        it writes levels 1..L.  Every other request misses and writes
+        levels 1..j, j the first level with min(distinct_before, C) < B_j
+        (the first level not yet full), or the last level if there is
+        none.  As no B_j exceeds C, that is the first level with
+        distinct_before < B_j.  The outcomes are this engine's own; its
+        cache is not read.
+        """
+        bounds = np.cumsum([space.capacity for space in self.levels])
+        n = self.n_levels
+        hit = np.where(distances > 0, np.searchsorted(bounds, distances), n)  # level - 1
+        seen = distinct_before[hit == n]
+        last = np.minimum(np.searchsorted(bounds, seen, side="right"), n - 1)  # j - 1
+        counts = Counter()
+        hits = np.bincount(hit, minlength=n + 1)[:n].tolist()
+        for level, count in enumerate(hits, start=1):
+            if count:
+                counts[self._hits[level - 1][0 if level == 1 else level]] = count
+        for j, count in enumerate(np.bincount(last, minlength=n).tolist(), start=1):
+            if count:
+                counts[self._misses[j]] = count
+        return counts
 
 
 class NaiveLRU(Promote):

@@ -19,6 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -41,7 +42,9 @@ class SyntheticSpec:
     ``RECENT_BUFFER`` (10) most recently emitted keys (picked uniformly,
     duplicates and all); otherwise the key is a Zipf(skew) draw over
     ``{1..ground_set}``.  The first ``RECENT_BUFFER`` events always take
-    the Zipf branch so the buffer never starts empty.
+    the Zipf branch so the buffer never starts empty.  length and
+    ground_set are integers >= 1; numpy integers are stored as Python
+    ints.
     """
 
     length: int
@@ -51,10 +54,11 @@ class SyntheticSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-        if self.ground_set < 1:
-            raise ValueError("ground_set must be >= 1")
+        for name in ("length", "ground_set"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.skew) and self.skew >= 0.0):
             raise ValueError(f"skew must be finite and >= 0, got {self.skew!r}")
         if not 0.0 <= self.recency <= 1.0:

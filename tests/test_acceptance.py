@@ -1,9 +1,9 @@
 """Acceptance suite: the headline guarantees, one test and one line each.
 
-Every test prints a single PASS/FAIL summary to the terminal (bypassing
-capture) so a full run reads as a checklist.  Scales and tolerances are
-fixed below; the heavier simulations share their runs through
-module-scoped fixtures.
+Every numbered check prints a single PASS/FAIL summary to the terminal
+(bypassing capture) so a full run reads as a checklist.  Scales and
+tolerances are fixed below; the heavier simulations share their runs
+through module-scoped fixtures.
 """
 
 import math
@@ -35,6 +35,7 @@ from bidifilter import (
     generate_synthetic,
     hit_at_level,
     hit_ratio,
+    lru_profile,
     make_policy,
     run_single,
 )
@@ -184,7 +185,14 @@ def _cold_fill_length(keys, capacity):
 
 
 @pytest.fixture(scope="module")
-def write_gap_rows():
+def demote_replays():
+    """Demote's replayed ``(trace, row)`` runs, full trace then cold fill,
+    as ``write_gap_rows`` leaves them."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def write_gap_rows(demote_replays):
     """Shared heavy runs: one trace, three policies at one geometry.
 
     Every policy also replays the cold-fill prefix, the accesses up to
@@ -221,9 +229,12 @@ def write_gap_rows():
         ("demote", PolicySpec("Demote", (l1, l2))),
     ]:
         t0 = time.perf_counter()
-        total = run_single(pspec, trace).w_l2
+        full = run_single(pspec, trace)
         timings[name] = compile_s + time.perf_counter() - t0
-        writes[name] = L2Writes(total, run_single(pspec, prefix).w_l2)
+        cold = run_single(pspec, prefix)
+        writes[name] = L2Writes(full.w_l2, cold.w_l2)
+        if name == "demote":
+            demote_replays += [(trace, full), (prefix, cold)]
     # the split's premise: the cold fill writes every L2 slot at least once
     for name, w in writes.items():
         assert w.prefix >= l2, f"{name}: {w.prefix:,} L2 writes in the cold fill < {l2:,}"
@@ -277,6 +288,22 @@ def test_write_savings_vs_demote(write_gap_rows, capsys):
         f"steady-state L2 writes not ordered reject < admit < Demote: "
         f"{reject_w2:,}, {admit_w2:,}, {demote_w2:,}"
     )
+
+
+def test_lru_profile_gives_the_replayed_demote_rows(write_gap_rows, demote_replays):
+    # a sweep takes its Demote rows from the trace's LRU profile in place
+    # of a replay; at check 5's scale their counts must equal those of
+    # Demote's replay, over the whole trace and over its cold fill
+    _, _, (l1, l2, _, _) = write_gap_rows
+    assert len(demote_replays) == 2
+    for trace, replayed in demote_replays:
+        stats = SimStats(2)
+        stats.add_all(Demote((l1, l2)).outcome_counts(*lru_profile(trace)))
+        stats.check()
+        assert (stats.requests, stats.h_l1_window, stats.h_l1_veterans, stats.hits_at(2),
+                stats.misses, stats.writes_at(1), stats.writes_at(2)) == (
+            replayed.requests, replayed.h_l1_window, replayed.h_l1_veterans, replayed.h_l2,
+            replayed.misses, replayed.w_l1, replayed.w_l2)
 
 
 # --- 6: window-fraction crossover ---------------------------------------------

@@ -22,6 +22,7 @@ from bidifilter import (
     SyntheticSpec,
     compile_trace,
     level_capacities_for,
+    lru_profile,
     make_policy,
     run_single,
     run_sweep,
@@ -32,7 +33,7 @@ from bidifilter import (
 )
 from bidifilter import harness
 from bidifilter.harness import open_trace
-from bidifilter.oracles import reference_filter_outcomes
+from bidifilter.oracles import reference_filter_outcomes, reference_stack_distances
 from bidifilter.policies import default_sketch
 from bidifilter.sketch import derive_seed
 from bidifilter.workload import count_uniques
@@ -213,15 +214,22 @@ def test_run_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_worker_cell_args", ())
-    sweep = sweep_fixture()  # 4 cells
+    # 8 cells, of which the 4 BiDiFilter cells replay: the Demote cells
+    # come from the trace's LRU profile, so a pool gets at most 4 workers
+    sweep = sweep_fixture(l1_ratios=(0.2, 0.5))
     serial = run_sweep(sweep, jobs=1)
     for jobs in (2, 4, 64):
         assert run_sweep(sweep, jobs=jobs) == serial
     assert started == [2, 4, 4]
-    one_cell = sweep_fixture(policies=(PolicySpec("Demote", (1, 1)),),
+    one_cell = sweep_fixture(policies=(PolicySpec("BiDiFilter", (1, 1)),),
                              l2_size_percents=(0.1,))
     assert run_sweep(one_cell, jobs=8) == run_sweep(one_cell, jobs=1)
-    assert started == [2, 4, 4]  # a single cell runs serially
+    assert started == [2, 4, 4]  # a single replayed cell runs serially
+    demote_only = sweep_fixture(policies=(PolicySpec("Demote", (1, 1)),),
+                                l1_ratios=(0.2, 0.5))
+    rows = run_sweep(demote_only, jobs=8)
+    assert len(rows) == 4 and rows == run_sweep(demote_only, jobs=1)
+    assert started == [2, 4, 4]  # nothing replays, so no pool opens
 
 
 def test_run_sweep_n_levels_geometry():
@@ -352,6 +360,26 @@ def test_equal_keys_of_mixed_types_share_one_id():
         assert _row_counts(row) == (
             len(outcomes), kinds["hit_l1_window"], kinds["hit_l1_veterans"],
             kinds["hit_l2"], kinds["miss"], writes[1], writes[2])
+
+
+def test_lru_profile_matches_reference_stack_distances():
+    # every access's stack distance, and the distinct keys before it,
+    # against a list-based LRU stack and a set of the keys seen so far
+    rnd = random.Random(1516)
+    traces = [[7], [None, None], [1, True, 1.0, "1", None, 2, None, True, 1],
+              list(range(40)) * 2, list(open_trace(SMALL))]
+    for _ in range(150):
+        span = rnd.randint(0, 60)
+        traces.append([rnd.randint(0, span) for _ in range(rnd.randint(1, 400))])
+    for keys in traces:
+        distances, distinct_before = lru_profile(compile_trace(keys))
+        assert distances.tolist() == reference_stack_distances(keys)
+        seen = set()
+        expected = []
+        for key in keys:
+            expected.append(len(seen))
+            seen.add(key)
+        assert distinct_before.tolist() == expected
 
 
 def make_row(**overrides):

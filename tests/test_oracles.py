@@ -13,6 +13,7 @@ from bidifilter.oracles import (
     reference_filter_outcomes,
     reference_lru_hits,
     reference_sketch_counters,
+    reference_stack_distances,
 )
 
 
@@ -60,6 +61,19 @@ def test_lru_hits_monotone_in_capacity():
     assert all(a <= b for a, b in zip(hits, hits[1:]))
     # capacity >= distinct keys: only cold misses remain
     assert hits[-1] == len(keys) - len(set(keys))
+
+
+def test_stack_distances_hand_cases_and_lru_hits():
+    assert reference_stack_distances([]) == []
+    assert reference_stack_distances(["a", "a", "b", "a", "c", "b"]) == [0, 1, 0, 2, 0, 3]
+    # True and 1.0 are the key 1; "1" is another
+    assert reference_stack_distances([1, True, "1", 1.0]) == [0, 1, 0, 2]
+    # an LRU cache of capacity c hits exactly the accesses at distance 1..c
+    rnd = random.Random(10)
+    keys = [rnd.randint(0, 20) for _ in range(500)]
+    distances = reference_stack_distances(keys)
+    for cap in range(1, 25):
+        assert sum(1 <= d <= cap for d in distances) == reference_lru_hits(keys, cap)
 
 
 def test_zipf_probabilities_properties():

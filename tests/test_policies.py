@@ -18,10 +18,12 @@ from bidifilter import (
     NaiveLRU,
     PolicySpec,
     Promote,
+    SimStats,
     SketchConfig,
     compile_trace,
     hit_at_level,
     ingest_trace,
+    lru_profile,
     make_policy,
     run_single,
 )
@@ -488,6 +490,32 @@ def test_demote_equals_global_lru():
                     h_l1 += 1
         assert hits == reference_lru_hits(keys, sum(caps))
         assert h_l1 == reference_lru_hits(keys, caps[0])
+
+
+def test_demote_outcome_counts_match_the_engine():
+    # the histogram Demote's rule reads off the LRU profile equals the
+    # engine's own replay, cell by cell, at 2-4 levels; the traces mix
+    # None, True and 1.0 (one key with 1) with other keys, and include
+    # single accesses and capacities beyond the footprint
+    rnd = random.Random(1515)
+    cells = single = roomy = 0
+    for trial in range(80):
+        pool = [None, True, 1.0, 1, "1", *range(2, rnd.randint(3, 60))]
+        length = 1 if trial % 10 == 0 else rnd.randint(2, 500)
+        keys = [rnd.choice(pool) for _ in range(length)]
+        profile = lru_profile(compile_trace(keys))
+        footprint = len(set(keys))
+        for _ in range(3):
+            caps = tuple(rnd.randint(1, footprint // 2 + 2)
+                         for _ in range(rnd.randint(2, 4)))
+            engine = Demote(caps)
+            stats = SimStats(engine.n_levels)
+            stats.add_all(map(engine.handle, keys))
+            assert Demote(caps).outcome_counts(*profile) == stats.counts, (keys, caps)
+            cells += 1
+            single += length == 1
+            roomy += sum(caps) > footprint
+    assert cells >= 200 and single and roomy
 
 
 def test_naive_lru_hits_never_promote():

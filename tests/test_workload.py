@@ -32,6 +32,10 @@ def test_spec_validation():
     for field, bad in [
         ("length", 0),
         ("ground_set", 0),
+        ("length", 100.5),
+        ("ground_set", 10.5),
+        ("length", 10.0),
+        ("ground_set", "5"),
         ("skew", -0.1),
         ("skew", float("nan")),
         ("skew", float("inf")),
@@ -40,6 +44,15 @@ def test_spec_validation():
     ]:
         with pytest.raises(ValueError):
             SyntheticSpec(**{**good, field: bad})
+
+
+def test_spec_stores_numpy_integers_as_python_ints():
+    spec = SyntheticSpec(length=np.int64(10), ground_set=np.uint32(5), skew=0.8,
+                         recency=0.3)
+    assert type(spec.length) is int and type(spec.ground_set) is int
+    assert spec == SyntheticSpec(length=10, ground_set=5, skew=0.8, recency=0.3)
+    assert list(generate_synthetic(spec)) == list(generate_synthetic(
+        SyntheticSpec(length=10, ground_set=5, skew=0.8, recency=0.3)))
 
 
 def test_zipf_cumulative_values():
