@@ -1,11 +1,12 @@
 """All five policies on one workload: hit ratios, writes, latencies.
 
-Replays the same skewed synthetic trace through each policy at the same
+Runs the same skewed synthetic trace through each policy at the same
 geometry and prints a comparison table.  The filtered policy should
 roughly match the global-LRU baseline on hit ratio while writing far
 less into L2; NaiveLRU writes least but hits worst.  Then it reads the
-global-LRU hit ratio at several total capacities off one LRU
-stack-distance profile of the trace, next to BiDiFilter's.
+global-LRU hit ratio at several total capacities off the trace's LRU
+stack-distance profile, the one Demote's row came from, next to
+BiDiFilter's.
 
 Run:  python3 demos/03_policy_comparison.py
 """
@@ -16,7 +17,6 @@ from bidifilter import (
     compile_trace,
     count_uniques,
     generate_synthetic,
-    lru_profile,
     run_single,
 )
 
@@ -53,8 +53,10 @@ for pspec in policies:
           f"{row.avg_rw_latency_ns / 1000:>8.1f}")
 
 # an LRU cache of capacity C hits exactly the accesses at stack distance
-# 1..C, so one profile gives global LRU's hit ratio at every capacity
-distances, _ = lru_profile(trace)
+# 1..C, so one profile gives global LRU's hit ratio at every capacity;
+# the Demote row above was read off the same profile, which the compiled
+# trace keeps
+distances, _ = trace.profile
 print("\nglobal LRU hit ratio by total capacity, from one stack-distance profile:")
 print(f"{'capacity':>9} {'footprint':>9} {'hit%':>6}")
 for capacity in sorted({round(f * uniques) for f in (0.05, 0.1, 0.2, 0.5, 1.0)}
@@ -74,6 +76,6 @@ Things to notice:
     equal-frequency churn.
   * NaiveLRU's L2 writes are bounded by its misses, but items never come
     back up, so its L1 hit share collapses.
-  * At L1+L2 the global-LRU profile reproduces Demote's hit ratio; the
-    strict filter matches or beats it there with a fraction of the L2
-    writes.""")
+  * At L1+L2 the global-LRU curve gives Demote's hit ratio, since Demote
+    is one global LRU order across its levels; the strict filter matches
+    or beats it there with a fraction of the L2 writes.""")

@@ -8,14 +8,16 @@ share one entry in the policies' dicts, and the key seen first stands
 for it.  The policy's sketch is bound to that list, so each distinct key
 is hashed once per cell, into a slot table indexed by id.
 
-A sweep reads and compiles its trace once.  Demote is one global LRU
-order spread across the levels, so its cells need no replay: the
-trace's LRU profile (``lru_profile``: each access's stack distance, as
-in Mattson et al., "Evaluation techniques for storage hierarchies",
-1970) is computed once and gives every Demote cell at every geometry
-(``Demote.outcome_counts``).  Every other (policy, geometry) cell
-replays the compiled trace; under ``jobs > 1`` each worker process
-receives it once, when it starts.  A first pass counts distinct keys so
+Demote is one global LRU order spread across the levels, so over a
+compiled trace its rows need no replay: the trace's LRU profile
+(``lru_profile``: each access's stack distance, as in Mattson et al.,
+"Evaluation techniques for storage hierarchies", 1970), computed on
+first use and kept, gives its row at every geometry
+(``Demote.outcome_counts``).
+
+A sweep reads and compiles its trace once and runs every cell through
+``run_single``; under ``jobs > 1`` each worker process receives the
+trace once, when it starts.  A first pass counts distinct keys so
 capacities can be expressed as fractions of the workload's footprint.
 Every cell gets its own seed derived from the master seed and the cell
 index, so results are reproducible row for row regardless of execution
@@ -29,13 +31,15 @@ import json
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .metrics import LatencyParams, SimStats, avg_read_latency, avg_rw_latency, hit_ratio
-from .policies import Demote, PolicySpec, make_policy
+from .policies import PolicySpec, make_policy
 from .sketch import derive_seed
 from .workload import SyntheticSpec, count_uniques, generate_synthetic, ingest_trace
 
@@ -86,6 +90,11 @@ class CompiledTrace:
     def __iter__(self) -> Iterator[int]:
         return iter(self.ids)
 
+    @cached_property
+    def profile(self) -> tuple[np.ndarray, np.ndarray]:
+        """This trace's ``lru_profile``, computed on first use and kept."""
+        return lru_profile(self)
+
 
 def compile_trace(trace: Iterable) -> CompiledTrace:
     """The trace as dense key ids, handed out in first-seen order.
@@ -109,25 +118,32 @@ def run_single(
     latency: LatencyParams | None = None,
     trace_id: str = "",
 ) -> ResultRow:
-    """Replay one trace through one freshly built policy instance.
+    """The row of one trace through one freshly built policy instance.
 
     A filtered kind compiles the trace (``compile_trace``) and binds its
     distinct keys to the policy, so the sketch hashes each key once.
-    The other kinds replay what they are given: raw keys, or the ids of
-    a CompiledTrace.  The outcomes are counted in one bulk call and
-    checked once, at the end; a policy's own invariants (``check_invariants``)
-    are left to callers that replay it themselves.
+    Demote reads its row off a CompiledTrace's ``profile``, which every
+    later Demote row over that trace reuses.  Raw keys, Demote's
+    included, are replayed as they come: the replay holds only the
+    cache, where the profile needs the whole trace as ids and a few
+    arrays of its length (at 1M accesses, about 80 MB above the start
+    against 23 MB).  The outcomes are counted in one bulk call and
+    checked once, at the end; a policy's own invariants
+    (``check_invariants``) are left to callers that replay it
+    themselves.
     """
     latency = latency or LatencyParams()
     if len(latency.level_ns) < policy_spec.n_levels:
         raise ValueError("latency params cover fewer levels than the policy")
-    filtered = policy_spec.kind in _FILTERED_KINDS
     policy = make_policy(policy_spec)
-    if filtered:
-        trace = compile_trace(trace)
-        policy.bind_keys(trace.keys)
     stats = SimStats(policy.n_levels)
-    stats.add_all(map(policy.handle, trace))
+    if policy_spec.kind == "Demote" and isinstance(trace, CompiledTrace):
+        stats.add_all(policy.outcome_counts(*trace.profile))
+    else:
+        if policy_spec.kind in _FILTERED_KINDS:
+            trace = compile_trace(trace)
+            policy.bind_keys(trace.keys)
+        stats.add_all(map(policy.handle, trace))
     return _result_row(policy_spec, stats, latency, trace_id)
 
 
@@ -208,15 +224,6 @@ def lru_profile(trace: CompiledTrace) -> tuple[np.ndarray, np.ndarray]:
     return distances, distinct_before
 
 
-def _profile_row(
-    policy_spec: PolicySpec, profile, latency: LatencyParams, trace_id: str
-) -> ResultRow:
-    """A Demote cell's row from the trace's ``lru_profile``, unreplayed."""
-    stats = SimStats(policy_spec.n_levels)
-    stats.counts.update(Demote(policy_spec.level_capacities).outcome_counts(*profile))
-    return _result_row(policy_spec, stats, latency, trace_id)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A full experiment: one trace source crossed with geometries/policies.
@@ -224,8 +231,8 @@ class SweepSpec:
     policies are PolicySpec templates; their level_capacities and
     rng_seed are replaced per cell.  l2_size_percents are fractions of
     the trace's distinct-key count; l1_ratios are L1:L2 size ratios.
-    Levels beyond two (n_levels > 2) extend the hierarchy geometrically
-    with the same ratio.
+    n_levels is an integer; levels beyond two extend the hierarchy
+    geometrically with the same ratio.
     """
 
     trace_source: SyntheticSpec | str | Path
@@ -248,8 +255,9 @@ class SweepSpec:
             raise ValueError("l2_size_percents must be in (0, 1]")
         if any(not 0.0 < r < 1.0 for r in self.l1_ratios):
             raise ValueError("l1_ratios must be in (0, 1)")
-        if self.n_levels < 2:
-            raise ValueError("n_levels must be >= 2")
+        if not (isinstance(self.n_levels, Integral) and self.n_levels >= 2):
+            raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels!r}")
+        object.__setattr__(self, "n_levels", int(self.n_levels))
         if len(self.latency.level_ns) < self.n_levels:
             raise ValueError("latency params cover fewer levels than the sweep")
 
@@ -303,14 +311,15 @@ def _run_worker_cell(spec: PolicySpec) -> ResultRow:
 def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
     """All cells of a sweep, in deterministic (policy, percent, ratio) order.
 
-    The Demote cells come from one ``lru_profile`` of the trace, which
-    this process computes, when the sweep has any, after every other
-    cell has replayed the trace.  ``jobs`` bounds the worker processes; a
-    sweep starts at most one per replayed cell, and none when it replays
-    serially.
+    Every cell is one ``run_single`` over the sweep's compiled trace, so
+    the Demote cells of one process share the trace's LRU profile and
+    none of them replays.
+    ``jobs`` is an integer >= 1 that bounds the worker processes; a
+    sweep starts at most one per cell that replays (every kind but
+    Demote), and none when at most one cell replays.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not (isinstance(jobs, Integral) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     trace = compile_trace(open_trace(sweep.trace_source))
     uniques, accesses = count_uniques(trace)
     if accesses == 0:
@@ -329,8 +338,7 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
                 )
                 specs.append(spec)
                 index += 1
-    replayed = [spec for spec in specs if spec.kind != "Demote"]
-    workers = min(jobs, len(replayed))
+    workers = min(int(jobs), sum(spec.kind != "Demote" for spec in specs))
     if workers > 1:
         # each worker receives the trace once, at start-up (inherited
         # under fork); a task carries only its PolicySpec
@@ -339,16 +347,8 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
             initializer=_share_with_worker,
             initargs=(trace, sweep.latency, label),
         ) as pool:
-            replays = list(pool.map(_run_worker_cell, replayed))
-    else:
-        replays = [run_single(spec, trace, sweep.latency, trace_id=label) for spec in replayed]
-    profile = lru_profile(trace) if len(replays) < len(specs) else None
-    replays = iter(replays)
-    return [
-        _profile_row(spec, profile, sweep.latency, label) if spec.kind == "Demote"
-        else next(replays)
-        for spec in specs
-    ]
+            return list(pool.map(_run_worker_cell, specs))
+    return [run_single(spec, trace, sweep.latency, trace_id=label) for spec in specs]
 
 
 def write_rows_csv(rows: Sequence[ResultRow], fh) -> None:

@@ -41,9 +41,9 @@ Its two named shorthands are ``Demote`` (p = q = 1: one global LRU order
 across the levels) and ``NaiveLRU`` (p = 0, q = 1: independent levels,
 hits never move items up).  ``oracles.reference_chain_outcomes``
 restates it with python lists.  Demote's whole histogram also follows
-from a trace's LRU stack distances (``Demote.outcome_counts``), which a
-sweep uses in place of replaying it.  Policies with a single undivided
-L1 report L1 hits in the window bucket.
+from a trace's LRU stack distances (``Demote.outcome_counts``), which
+``run_single`` reads a compiled trace's rows from.  Policies with a
+single undivided L1 report L1 hits in the window bucket.
 """
 
 from __future__ import annotations

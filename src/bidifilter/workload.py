@@ -71,7 +71,7 @@ def zipf_cumulative(ground_set: int, skew: float) -> np.ndarray:
     return np.cumsum(ranks ** -skew)
 
 
-def generate_synthetic(spec: SyntheticSpec, branch_log: list | None = None) -> Iterator[int]:
+def generate_synthetic(spec: SyntheticSpec) -> Iterator[int]:
     """Yield the key stream for ``spec``; identical streams per rng_seed.
 
     Keys are Python ints in 1..ground_set.  Uniform draws are consumed
@@ -88,10 +88,9 @@ def generate_synthetic(spec: SyntheticSpec, branch_log: list | None = None) -> I
     ``RECENT_BUFFER`` keys and this block's events, jumped (``src =
     src[src]``) until every index names a Zipf event or a carried key.
     A repeat yields the very int object it repeats, as a per-event loop
-    would.  The generator stays lazy, holding one block at a time.  When
-    ``branch_log`` is given, each block's branch flags are appended to
-    it (True for recent-branch events) before that block's keys are
-    yielded.
+    would.  The generator stays lazy, holding one block at a time.
+    ``oracles.reference_synthetic_stream`` gives the same keys one event
+    at a time, with each event's branch flag.
     """
     rng = np.random.default_rng(spec.rng_seed)
     cum = zipf_cumulative(spec.ground_set, spec.skew)
@@ -122,8 +121,6 @@ def generate_synthetic(spec: SyntheticSpec, branch_log: list | None = None) -> I
         keys = pool[src[h:]].tolist()
         carried = keys[-RECENT_BUFFER:]
         emitted += n
-        if branch_log is not None:
-            branch_log.extend(took_recent.tolist())
         yield from keys
 
 

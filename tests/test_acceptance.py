@@ -6,6 +6,7 @@ tolerances are fixed below; the heavier simulations share their runs
 through module-scoped fixtures.
 """
 
+import itertools
 import math
 import os
 import random
@@ -35,7 +36,6 @@ from bidifilter import (
     generate_synthetic,
     hit_at_level,
     hit_ratio,
-    lru_profile,
     make_policy,
     run_single,
 )
@@ -174,39 +174,25 @@ class L2Writes(NamedTuple):
         return f"{self.total:,}/{self.prefix:,}/{self.steady:,}"
 
 
-def _cold_fill_length(keys, capacity):
-    """Length of the prefix that ends at the capacity-th distinct key."""
-    seen = set()
-    for i, k in enumerate(keys):
-        seen.add(k)
-        if len(seen) == capacity:
-            return i + 1
-    raise ValueError(f"trace has fewer than {capacity} distinct keys")
-
-
 @pytest.fixture(scope="module")
-def demote_replays():
-    """Demote's replayed ``(trace, row)`` runs, full trace then cold fill,
-    as ``write_gap_rows`` leaves them."""
-    return []
-
-
-@pytest.fixture(scope="module")
-def write_gap_rows(demote_replays):
+def write_gap_rows():
     """Shared heavy runs: one trace, three policies at one geometry.
 
-    Every policy also replays the cold-fill prefix, the accesses up to
-    the one that brings the trace to L1 + L2 distinct keys.  Until then
-    no exclusive policy has had to drop a key, and each of the L2 slots
-    is written at least once whatever the policy, so checks 4 and 5
-    compare the steady-state L2 writes after it: full run minus prefix
-    run (replay is deterministic, so the prefix run is exactly the start
-    of the full one).
+    Every policy also runs the cold-fill prefix, the accesses up to the
+    one that brings the trace to L1 + L2 distinct keys.  Until then no
+    exclusive policy has had to drop a key, and each of the L2 slots is
+    written at least once whatever the policy, so checks 4 and 5 compare
+    the steady-state L2 writes after it: full run minus prefix run
+    (every run is deterministic, so the prefix run is exactly the start
+    of the full one).  The cold fill's length is read off the trace's
+    LRU profile: access i brings the trace to ``distinct_before[i]``
+    distinct keys, plus one if it is a first access (distance 0).
 
-    The trace is compiled once and every run replays it.  Ids are handed
+    The trace is compiled once and every run reads it.  Ids are handed
     out in first-seen order, so the prefix gets the ids it would get if
     compiled alone.  The compile time counts in each timed full run, so
-    check 4's budget still covers compiling.
+    check 4's budget still covers compiling.  Besides the L2 writes it
+    returns the trace and Demote's full and cold-fill rows.
     """
     spec = SyntheticSpec(length=10**6, ground_set=10**5, skew=0.8, recency=0.2,
                          rng_seed=404)
@@ -217,10 +203,14 @@ def write_gap_rows(demote_replays):
     uniques = len(trace.keys)
     l2 = max(1, round(0.5 * uniques))
     l1 = max(1, round(0.1 * l2))
-    fill = _cold_fill_length(trace.ids, l1 + l2)
+    distances, distinct_before = trace.profile
+    reached = np.flatnonzero(distinct_before + (distances == 0) >= l1 + l2)
+    assert len(reached), f"trace has fewer than {l1 + l2:,} distinct keys"
+    fill = int(reached[0]) + 1
     prefix = CompiledTrace(trace.ids[:fill], trace.keys)
     timings = {}
     writes = {}
+    rows = {}
     for name, pspec in [
         ("admit", PolicySpec("BiDiFilter", (l1, l2), window_fraction=0.5,
                              tie_break="admit", rng_seed=0)),
@@ -233,12 +223,11 @@ def write_gap_rows(demote_replays):
         timings[name] = compile_s + time.perf_counter() - t0
         cold = run_single(pspec, prefix)
         writes[name] = L2Writes(full.w_l2, cold.w_l2)
-        if name == "demote":
-            demote_replays += [(trace, full), (prefix, cold)]
+        rows[name] = full, cold
     # the split's premise: the cold fill writes every L2 slot at least once
     for name, w in writes.items():
         assert w.prefix >= l2, f"{name}: {w.prefix:,} L2 writes in the cold fill < {l2:,}"
-    return writes, timings, (l1, l2, uniques, fill)
+    return writes, timings, (l1, l2, uniques, fill), (trace, *rows["demote"])
 
 
 def _split_detail(writes, names, fill):
@@ -249,7 +238,7 @@ def _split_detail(writes, names, fill):
 def test_reject_tie_break_write_gap(write_gap_rows, capsys):
     # reject-on-tie must cut steady-state L2 writes by >= 10x against
     # admit-on-tie
-    writes, timings, (l1, l2, uniques, fill) = write_gap_rows
+    writes, timings, (l1, l2, uniques, fill), _ = write_gap_rows
     admit_w2, reject_w2 = writes["admit"].steady, writes["reject"].steady
     ratio = admit_w2 / reject_w2
     elapsed = timings["admit"] + timings["reject"]
@@ -270,7 +259,7 @@ def test_reject_tie_break_write_gap(write_gap_rows, capsys):
 def test_write_savings_vs_demote(write_gap_rows, capsys):
     # the strict filter (reject on ties) must write L2 >= 5x less than the
     # Demote baseline in steady state; admit must land between the two
-    writes, _, (_, _, _, fill) = write_gap_rows
+    writes, _, (_, _, _, fill), _ = write_gap_rows
     demote_w2 = writes["demote"].steady
     reject_w2, admit_w2 = writes["reject"].steady, writes["admit"].steady
     ratio = demote_w2 / reject_w2
@@ -290,20 +279,25 @@ def test_write_savings_vs_demote(write_gap_rows, capsys):
     )
 
 
-def test_lru_profile_gives_the_replayed_demote_rows(write_gap_rows, demote_replays):
-    # a sweep takes its Demote rows from the trace's LRU profile in place
-    # of a replay; at check 5's scale their counts must equal those of
-    # Demote's replay, over the whole trace and over its cold fill
-    _, _, (l1, l2, _, _) = write_gap_rows
-    assert len(demote_replays) == 2
-    for trace, replayed in demote_replays:
-        stats = SimStats(2)
-        stats.add_all(Demote((l1, l2)).outcome_counts(*lru_profile(trace)))
-        stats.check()
-        assert (stats.requests, stats.h_l1_window, stats.h_l1_veterans, stats.hits_at(2),
-                stats.misses, stats.writes_at(1), stats.writes_at(2)) == (
-            replayed.requests, replayed.h_l1_window, replayed.h_l1_veterans, replayed.h_l2,
-            replayed.misses, replayed.w_l1, replayed.w_l2)
+def test_lru_profile_gives_the_replayed_demote_rows(write_gap_rows):
+    # run_single reads a compiled trace's Demote rows off its LRU
+    # profile; at check 5's scale their counts must equal those of the
+    # Demote engine's own replay, over the whole trace and its cold fill
+    _, _, (l1, l2, _, fill), (trace, full, cold) = write_gap_rows
+    policy = make_policy(PolicySpec("Demote", (l1, l2)))
+    stats = SimStats(2)
+    ids = iter(trace.ids)
+    stats.add_all(map(policy.handle, itertools.islice(ids, fill)))
+    at_fill = SimStats(2)
+    at_fill.add_all(stats.counts)
+    stats.add_all(map(policy.handle, ids))
+    for replayed, row in ((stats, full), (at_fill, cold)):
+        replayed.check()
+        assert (row.requests, row.h_l1_window, row.h_l1_veterans, row.h_l2, row.misses,
+                row.w_l1, row.w_l2) == (
+            replayed.requests, replayed.h_l1_window, replayed.h_l1_veterans,
+            replayed.hits_at(2), replayed.misses, replayed.writes_at(1),
+            replayed.writes_at(2))
 
 
 # --- 6: window-fraction crossover ---------------------------------------------

@@ -21,6 +21,7 @@ from bidifilter import (
     SweepSpec,
     SyntheticSpec,
     compile_trace,
+    generate_synthetic,
     level_capacities_for,
     lru_profile,
     make_policy,
@@ -65,8 +66,10 @@ def test_run_single_marks_inapplicable_knobs_none():
 
 
 def test_run_single_rejects_empty_trace():
-    with pytest.raises(ValueError):
-        run_single(PolicySpec("Demote", (2, 4)), iter(()))
+    for kind in KINDS:
+        for empty in (iter(()), compile_trace(())):
+            with pytest.raises(ValueError, match="empty"):
+                run_single(PolicySpec(kind, (2, 4)), empty)
 
 
 def test_run_single_checks_latency_depth_before_replay():
@@ -114,6 +117,15 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         # default latency params only cover two levels
         SweepSpec(SMALL, pols, (0.1,), (0.2,), n_levels=3)
+    # 2.5 levels would build 3-level cells (level_capacities_for loops
+    # while it has fewer than n_levels), so only integers pass
+    three = LatencyParams((100.0, 200_000.0, 500_000.0))
+    for bad in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="n_levels"):
+            SweepSpec(SMALL, pols, (0.1,), (0.2,), latency=three, n_levels=bad)
+    spec = SweepSpec(SMALL, pols, (0.1,), (0.2,), latency=three, n_levels=np.int64(3))
+    assert type(spec.n_levels) is int
+    assert spec == SweepSpec(SMALL, pols, (0.1,), (0.2,), latency=three, n_levels=3)
 
 
 def sweep_fixture(**overrides):
@@ -152,6 +164,7 @@ def test_run_sweep_is_reproducible():
 def test_run_sweep_parallel_matches_serial(tmp_path):
     spec = sweep_fixture()
     assert run_sweep(spec, jobs=2) == run_sweep(spec, jobs=1)
+    assert run_sweep(spec, jobs=np.int64(2)) == run_sweep(spec, jobs=1)
     # a file trace: string chunk keys, sized accesses spanning chunks
     rnd = random.Random(3)
     trace = tmp_path / "chunks.trace"
@@ -183,8 +196,9 @@ def test_run_sweep_reads_the_trace_once(jobs, monkeypatch, tmp_path):
     assert sorted(log.read_text().split()) == ["count_uniques", "open_trace"]
 
 
-@pytest.mark.parametrize("jobs", [0, -2])
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, 2.0, "2", None])
 def test_run_sweep_rejects_jobs_below_one(jobs, monkeypatch):
+    # jobs must be an integer >= 1, checked before the trace is opened
     def untouchable(source):
         raise AssertionError("trace was opened before jobs was checked")
 
@@ -215,7 +229,7 @@ def test_run_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_worker_cell_args", ())
     # 8 cells, of which the 4 BiDiFilter cells replay: the Demote cells
-    # come from the trace's LRU profile, so a pool gets at most 4 workers
+    # are read off the trace's LRU profile, so a pool gets at most 4 workers
     sweep = sweep_fixture(l1_ratios=(0.2, 0.5))
     serial = run_sweep(sweep, jobs=1)
     for jobs in (2, 4, 64):
@@ -230,6 +244,23 @@ def test_run_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
     rows = run_sweep(demote_only, jobs=8)
     assert len(rows) == 4 and rows == run_sweep(demote_only, jobs=1)
     assert started == [2, 4, 4]  # nothing replays, so no pool opens
+
+
+def test_serial_sweep_profiles_its_trace_once(monkeypatch):
+    calls = []
+
+    def counted(trace):
+        calls.append(len(trace.ids))
+        return lru_profile(trace)
+
+    monkeypatch.setattr(harness, "lru_profile", counted)
+    sweep = sweep_fixture(policies=(PolicySpec("Demote", (1, 1)),
+                                    PolicySpec("BiDiFilter", (1, 1)),
+                                    PolicySpec("Demote", (1, 1), rng_seed=4)),
+                          l1_ratios=(0.2, 0.5))
+    rows = run_sweep(sweep, jobs=1)
+    assert [r.policy_name for r in rows].count("Demote") == 8
+    assert calls == [SMALL.length]
 
 
 def test_run_sweep_n_levels_geometry():
@@ -380,6 +411,47 @@ def test_lru_profile_matches_reference_stack_distances():
             expected.append(len(seen))
             seen.add(key)
         assert distinct_before.tolist() == expected
+
+
+def _replayed_row(spec, keys, latency):
+    """The row of a Demote engine replay of the raw keys, counted
+    through SimStats."""
+    policy = make_policy(spec)
+    stats = SimStats(policy.n_levels)
+    stats.add_all(map(policy.handle, keys))
+    return harness._result_row(spec, stats, latency, "t")
+
+
+def test_demote_rows_equal_an_engine_replay():
+    # run_single reads a compiled trace's Demote rows off its LRU profile
+    # and replays raw keys; both must give the rows of the engine
+    # replaying the raw keys, at 2 to 4 levels
+    rnd = random.Random(1616)
+    latency = LatencyParams((100.0, 200_000.0, 400_000.0, 800_000.0))
+    # True, 1 and 1.0 are one key, None another; a one-access trace; and
+    # totals above the footprint (40 keys), where only first accesses miss
+    mixed = [None, True, 1, 1.0, "1", None, 2, 1.0, True, None, 2.0, 1]
+    cases = [(mixed, (1, 1)), (mixed, (2, 1, 1)), ([7], (1, 1)), (["k"], (3, 2, 1, 1)),
+             (list(range(40)) * 3, (30, 50)), (list(range(40)) * 3, (5, 10, 20, 40))]
+    for _ in range(60):
+        n_levels = rnd.randint(2, 4)
+        synth = SyntheticSpec(length=rnd.randint(1, 3_000), ground_set=rnd.randint(1, 300),
+                              skew=rnd.uniform(0.0, 1.2), recency=rnd.uniform(0.0, 0.8),
+                              rng_seed=rnd.randrange(10**6))
+        caps = tuple(rnd.randint(1, 120) for _ in range(n_levels))
+        cases.append((synth, caps))
+    for source, caps in cases:
+        spec = PolicySpec("Demote", caps)
+        if isinstance(source, SyntheticSpec):
+            keys = list(generate_synthetic(source))
+            lazy = generate_synthetic(source)
+        else:
+            keys, lazy = source, iter(source)
+        expected = _replayed_row(spec, keys, latency)
+        assert run_single(spec, lazy, latency, "t") == expected, (source, caps)
+        compiled = compile_trace(keys)
+        assert run_single(spec, compiled, latency, "t") == expected, (source, caps)
+        assert "profile" in vars(compiled)  # computed, and kept for later rows
 
 
 def make_row(**overrides):

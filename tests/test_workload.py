@@ -89,8 +89,8 @@ def test_multi_block_stream_digest_is_pinned(recency, digest):
 
 def test_multi_block_branch_log_digest_is_pinned():
     spec = SyntheticSpec(length=20000, ground_set=1000, skew=0.8, recency=0.6, rng_seed=12)
-    log: list = []
-    list(generate_synthetic(spec, branch_log=log))
+    keys, log = reference_synthetic_stream(spec)
+    assert list(generate_synthetic(spec)) == keys
     assert sum(log) == 11977
     assert stream_digest(log) == "701c5e837b72aad7caa19b49169a50df5a91b3c17644a5ae4d0fe76f6e186115"
 
@@ -130,11 +130,8 @@ def test_stream_matches_reference(length):
     for ground_set, skew, recency in cases:
         spec = SyntheticSpec(length=length, ground_set=ground_set, skew=skew,
                              recency=recency, rng_seed=rnd.randrange(10**6))
-        log: list = []
-        keys = list(generate_synthetic(spec, branch_log=log))
-        ref_keys, ref_log = reference_synthetic_stream(spec)
-        assert keys == ref_keys, spec
-        assert log == ref_log, spec
+        keys = list(generate_synthetic(spec))
+        assert keys == reference_synthetic_stream(spec)[0], spec
         assert all(type(k) is int for k in keys)
 
 
@@ -172,8 +169,8 @@ def test_stream_is_lazy():
 
 def test_first_events_always_zipf_branch():
     spec = SyntheticSpec(length=200, ground_set=10, skew=0.5, recency=1.0, rng_seed=1)
-    log: list = []
-    keys = list(generate_synthetic(spec, branch_log=log))
+    keys, log = reference_synthetic_stream(spec)
+    assert list(generate_synthetic(spec)) == keys
     assert log[:10] == [False] * 10
     # with recency 1.0 everything after warm-up repeats the buffer
     assert all(log[10:])
@@ -186,15 +183,15 @@ def test_first_events_always_zipf_branch():
 
 def test_recency_zero_is_pure_zipf():
     spec = SyntheticSpec(length=500, ground_set=20, skew=0.8, recency=0.0, rng_seed=2)
-    log: list = []
-    list(generate_synthetic(spec, branch_log=log))
+    keys, log = reference_synthetic_stream(spec)
+    assert list(generate_synthetic(spec)) == keys
     assert not any(log)
 
 
 def test_recent_branch_fraction_matches_probability():
     spec = SyntheticSpec(length=40000, ground_set=200, skew=0.6, recency=0.35, rng_seed=5)
-    log: list = []
-    list(generate_synthetic(spec, branch_log=log))
+    keys, log = reference_synthetic_stream(spec)
+    assert list(generate_synthetic(spec)) == keys
     frac = sum(log[10:]) / (len(log) - 10)
     # binomial std here is ~0.0024; allow 4 sigma
     assert abs(frac - 0.35) < 0.01
@@ -218,8 +215,8 @@ def test_buffer_duplicates_amplify_repeats():
     # self-reinforce; just sanity-check the stream stays in range and the
     # recent picks really come from the trailing window
     spec = SyntheticSpec(length=3000, ground_set=30, skew=0.7, recency=0.6, rng_seed=9)
-    log: list = []
-    keys = list(generate_synthetic(spec, branch_log=log))
+    keys, log = reference_synthetic_stream(spec)
+    assert list(generate_synthetic(spec)) == keys
     for i, took in enumerate(log):
         if took:
             assert keys[i] in keys[i - 10:i]
