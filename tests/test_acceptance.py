@@ -6,6 +6,8 @@ tolerances are fixed below; the heavier simulations share their runs
 through module-scoped fixtures.
 """
 
+import hashlib
+import io
 import itertools
 import math
 import os
@@ -38,6 +40,7 @@ from bidifilter import (
     hit_ratio,
     make_policy,
     run_single,
+    write_rows_csv,
 )
 from bidifilter.cli import main
 from bidifilter.oracles import (
@@ -192,7 +195,7 @@ def write_gap_rows():
     out in first-seen order, so the prefix gets the ids it would get if
     compiled alone.  The compile time counts in each timed full run, so
     check 4's budget still covers compiling.  Besides the L2 writes it
-    returns the trace and Demote's full and cold-fill rows.
+    returns the trace and each policy's full and cold-fill rows.
     """
     spec = SyntheticSpec(length=10**6, ground_set=10**5, skew=0.8, recency=0.2,
                          rng_seed=404)
@@ -227,7 +230,13 @@ def write_gap_rows():
     # the split's premise: the cold fill writes every L2 slot at least once
     for name, w in writes.items():
         assert w.prefix >= l2, f"{name}: {w.prefix:,} L2 writes in the cold fill < {l2:,}"
-    return writes, timings, (l1, l2, uniques, fill), (trace, *rows["demote"])
+    return writes, timings, (l1, l2, uniques, fill), trace, rows
+
+
+def _rows_digest(rows):
+    buf = io.StringIO()
+    write_rows_csv(rows, buf)
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
 def _split_detail(writes, names, fill):
@@ -238,7 +247,7 @@ def _split_detail(writes, names, fill):
 def test_reject_tie_break_write_gap(write_gap_rows, capsys):
     # reject-on-tie must cut steady-state L2 writes by >= 10x against
     # admit-on-tie
-    writes, timings, (l1, l2, uniques, fill), _ = write_gap_rows
+    writes, timings, (l1, l2, uniques, fill), _, _ = write_gap_rows
     admit_w2, reject_w2 = writes["admit"].steady, writes["reject"].steady
     ratio = admit_w2 / reject_w2
     elapsed = timings["admit"] + timings["reject"]
@@ -259,7 +268,7 @@ def test_reject_tie_break_write_gap(write_gap_rows, capsys):
 def test_write_savings_vs_demote(write_gap_rows, capsys):
     # the strict filter (reject on ties) must write L2 >= 5x less than the
     # Demote baseline in steady state; admit must land between the two
-    writes, _, (_, _, _, fill), _ = write_gap_rows
+    writes, _, (_, _, _, fill), _, _ = write_gap_rows
     demote_w2 = writes["demote"].steady
     reject_w2, admit_w2 = writes["reject"].steady, writes["admit"].steady
     ratio = demote_w2 / reject_w2
@@ -283,7 +292,8 @@ def test_lru_profile_gives_the_replayed_demote_rows(write_gap_rows):
     # run_single reads a compiled trace's Demote rows off its LRU
     # profile; at check 5's scale their counts must equal those of the
     # Demote engine's own replay, over the whole trace and its cold fill
-    _, _, (l1, l2, _, fill), (trace, full, cold) = write_gap_rows
+    _, _, (l1, l2, _, fill), trace, rows = write_gap_rows
+    full, cold = rows["demote"]
     policy = make_policy(PolicySpec("Demote", (l1, l2)))
     stats = SimStats(2)
     ids = iter(trace.ids)
@@ -300,45 +310,70 @@ def test_lru_profile_gives_the_replayed_demote_rows(write_gap_rows):
             replayed.writes_at(2))
 
 
+def test_write_gap_rows_csv_digest(write_gap_rows):
+    # the equality oracle at acceptance scale: the full and cold-fill rows
+    # of admit, reject and Demote that checks 4 and 5 read, as one CSV
+    *_, rows = write_gap_rows
+    digest = _rows_digest([row for name in ("admit", "reject", "demote")
+                           for row in rows[name]])
+    assert digest == "c6b587e9056864a91eb2813c6277fa82d2dfbd8e0e9d3dc61714c278b0d0cac0"
+
+
 # --- 6: window-fraction crossover ---------------------------------------------
 
-def _crossover_diff(recency):
-    """l1hits(wf=1) - l1hits(wf=0) on check 6's trace at one recency."""
+def _crossover_rows(recency):
+    """The rows of wf=1 and wf=0 on check 6's trace at one recency."""
     spec = SyntheticSpec(length=10**6, ground_set=10**5, skew=0.5,
                          recency=recency, rng_seed=606)
     trace = compile_trace(generate_synthetic(spec))
     uniques = len(trace.keys)
     l2 = max(1, round(0.5 * uniques))
     l1 = max(1, round(0.1 * l2))
-    l1_hits = {}
-    for wf in (1.0, 0.0):
-        row = run_single(
-            PolicySpec("BiDiFilter", (l1, l2), window_fraction=wf, rng_seed=0),
-            trace,
-        )
-        l1_hits[wf] = row.h_l1_window + row.h_l1_veterans
-    return l1_hits[1.0] - l1_hits[0.0]
+    return tuple(
+        run_single(PolicySpec("BiDiFilter", (l1, l2), window_fraction=wf, rng_seed=0),
+                   trace)
+        for wf in (1.0, 0.0)
+    )
 
 
-def test_window_fraction_crossover(capsys):
-    # sweeping recency, the L1-hit curves of a pure window (wf=1) and a
-    # pure veterans space (wf=0) must cross somewhere; the 11 independent
-    # traces replay in parallel, one per worker process
+@pytest.fixture(scope="module")
+def crossover_rows():
+    """Check 6's 22 rows, one (wf=1, wf=0) pair per recency 0.0..1.0; the
+    11 independent traces replay in parallel, one per worker process.
+    Also returns the elapsed seconds and the worker count."""
     t0 = time.perf_counter()
     recencies = [tenths / 10 for tenths in range(11)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(recencies), cpus)
     with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-        diffs = list(pool.map(_crossover_diff, recencies))
+        pairs = list(pool.map(_crossover_rows, recencies))
+    return pairs, time.perf_counter() - t0, workers
+
+
+def _l1_hits(row):
+    return row.h_l1_window + row.h_l1_veterans
+
+
+def test_window_fraction_crossover(crossover_rows, capsys):
+    # sweeping recency, the L1-hit curves of a pure window (wf=1) and a
+    # pure veterans space (wf=0) must cross somewhere
+    pairs, elapsed, workers = crossover_rows
+    diffs = [_l1_hits(window) - _l1_hits(veterans) for window, veterans in pairs]
     signs = [d for d in diffs if d != 0]
     crossed = any(a * b < 0 for a, b in zip(signs, signs[1:]))
-    elapsed = time.perf_counter() - t0
     pattern = "".join("+" if d > 0 else "-" if d < 0 else "0" for d in diffs)
     _emit(capsys, 6, "window-fraction crossover", crossed,
           f"sign(l1hits(wf=1)-l1hits(wf=0)) over recency 0.0..1.0 = {pattern}, "
           f"{elapsed:.0f}s on {workers} workers")
     assert crossed, f"no sign change in {diffs}"
+
+
+def test_crossover_rows_csv_digest(crossover_rows):
+    # check 6's 22 rows as one CSV, recency ascending, wf=1 before wf=0
+    pairs, _, _ = crossover_rows
+    digest = _rows_digest([row for pair in pairs for row in pair])
+    assert digest == "b1504d155d23ada0c4e5089119cbaa6c8541df84073d31249d9edf52820c9b3c"
 
 
 # --- 7: latency formulas -------------------------------------------------------
