@@ -14,6 +14,7 @@ import pytest
 from bidifilter import (
     KINDS,
     RESULT_FIELDS,
+    Demote,
     LatencyParams,
     PolicySpec,
     ResultRow,
@@ -452,6 +453,27 @@ def test_demote_rows_equal_an_engine_replay():
         compiled = compile_trace(keys)
         assert run_single(spec, compiled, latency, "t") == expected, (source, caps)
         assert "profile" in vars(compiled)  # computed, and kept for later rows
+
+
+def test_demote_rows_of_raw_keys_need_no_engine_replay(monkeypatch):
+    # raw keys, listed or lazy, are compiled and profiled like a
+    # CompiledTrace: with the engine's handle disabled, run_single still
+    # gives the rows of an engine replay
+    latency = LatencyParams((100.0, 200_000.0, 400_000.0))
+    mixed = [None, True, 1, 1.0, "1", None, 2, 1.0, True, None, 2.0, 1]
+    cases = [(list(open_trace(SMALL)), caps) for caps in ((8, 24), (4, 12, 40))]
+    cases.append((mixed, (1, 2)))
+    expected = [_replayed_row(PolicySpec("Demote", caps), keys, latency)
+                for keys, caps in cases]
+
+    def no_replay(self, key):
+        raise AssertionError("a Demote row replayed the engine")
+
+    monkeypatch.setattr(Demote, "handle", no_replay)
+    for (keys, caps), want in zip(cases, expected):
+        spec = PolicySpec("Demote", caps)
+        assert run_single(spec, keys, latency, "t") == want, caps
+        assert run_single(spec, iter(keys), latency, "t") == want, caps
 
 
 def make_row(**overrides):
