@@ -227,8 +227,8 @@ class SweepSpec:
     policies are PolicySpec templates; their level_capacities and
     rng_seed are replaced per cell.  l2_size_percents are fractions of
     the trace's distinct-key count; l1_ratios are L1:L2 size ratios.
-    n_levels is an integer; levels beyond two extend the hierarchy
-    geometrically with the same ratio.
+    n_levels and master_seed are integers; levels beyond two extend the
+    hierarchy geometrically with the same ratio.
     """
 
     trace_source: SyntheticSpec | str | Path
@@ -254,6 +254,9 @@ class SweepSpec:
         if not (isinstance(self.n_levels, Integral) and self.n_levels >= 2):
             raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels!r}")
         object.__setattr__(self, "n_levels", int(self.n_levels))
+        if not isinstance(self.master_seed, Integral):
+            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
+        object.__setattr__(self, "master_seed", int(self.master_seed))
         if len(self.latency.level_ns) < self.n_levels:
             raise ValueError("latency params cover fewer levels than the sweep")
 

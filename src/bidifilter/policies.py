@@ -111,6 +111,13 @@ def _check_fractions(**values) -> None:
             raise ValueError(f"{name} must be in [0, 1]")
 
 
+def _check_seed(rng_seed) -> int:
+    """The seed as a Python int; any integer is a seed."""
+    if not isinstance(rng_seed, Integral):
+        raise ValueError(f"rng_seed must be an integer, got {rng_seed!r}")
+    return int(rng_seed)
+
+
 def _check_tie_break(tie_break) -> None:
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
@@ -132,9 +139,10 @@ class PolicySpec:
     """Declarative description of a policy instance.
 
     window_fraction and tie_break only apply to the filtered kinds;
-    promote_prob/demote_prob only to Promote.  rng_seed feeds the sketch
-    hash seed and Promote's coin flips.  These defaults are the engines'
-    and the command line's defaults too.
+    promote_prob/demote_prob only to Promote.  rng_seed, an integer
+    (numpy integers are stored as Python ints), feeds the sketch hash
+    seed and Promote's coin flips.  These defaults are the engines' and
+    the command line's defaults too.
     """
 
     kind: str
@@ -156,6 +164,7 @@ class PolicySpec:
         _check_fractions(window_fraction=self.window_fraction,
                          promote_prob=self.promote_prob, demote_prob=self.demote_prob)
         _check_tie_break(self.tie_break)
+        object.__setattr__(self, "rng_seed", _check_seed(self.rng_seed))
 
     @property
     def n_levels(self) -> int:
@@ -227,6 +236,7 @@ class CascadeFilter:
         caps = _check_level_capacities(level_capacities)
         _check_fractions(window_fraction=window_fraction)
         _check_tie_break(tie_break)
+        rng_seed = _check_seed(rng_seed)
         window = round(window_fraction * caps[0])
         self.window_fraction = window_fraction
         self.window = LruSpace(window)
@@ -384,6 +394,7 @@ class Promote:
                  demote_prob=PolicySpec.demote_prob, rng_seed=PolicySpec.rng_seed):
         caps = _check_level_capacities(level_capacities)
         _check_fractions(promote_prob=promote_prob, demote_prob=demote_prob)
+        rng_seed = _check_seed(rng_seed)
         self.levels = tuple(LruSpace(c) for c in caps)
         self.n_levels = len(caps)
         # interned outcomes, indexed by the last level written (0 for a

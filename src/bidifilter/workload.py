@@ -43,8 +43,8 @@ class SyntheticSpec:
     duplicates and all); otherwise the key is a Zipf(skew) draw over
     ``{1..ground_set}``.  The first ``RECENT_BUFFER`` events always take
     the Zipf branch so the buffer never starts empty.  length and
-    ground_set are integers >= 1; numpy integers are stored as Python
-    ints.
+    ground_set are integers >= 1 and rng_seed an integer >= 0; numpy
+    integers are stored as Python ints.
     """
 
     length: int
@@ -54,10 +54,10 @@ class SyntheticSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("length", "ground_set"):
+        for name, least in (("length", 1), ("ground_set", 1), ("rng_seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.skew) and self.skew >= 0.0):
             raise ValueError(f"skew must be finite and >= 0, got {self.skew!r}")

@@ -41,6 +41,8 @@ from bidifilter.sketch import derive_seed
 from bidifilter.workload import count_uniques
 
 SMALL = SyntheticSpec(length=4000, ground_set=120, skew=0.8, recency=0.3, rng_seed=5)
+# True, 1 and 1.0 are one key, None another
+MIXED = [None, True, 1, 1.0, "1", None, 2, 1.0, True, None, 2.0, 1]
 
 
 def test_run_single_fields_and_closure():
@@ -127,6 +129,9 @@ def test_sweep_spec_validation():
     spec = SweepSpec(SMALL, pols, (0.1,), (0.2,), latency=three, n_levels=np.int64(3))
     assert type(spec.n_levels) is int
     assert spec == SweepSpec(SMALL, pols, (0.1,), (0.2,), latency=three, n_levels=3)
+    for bad in (1.5, "3", None):
+        with pytest.raises(ValueError, match="master_seed"):
+            SweepSpec(SMALL, pols, (0.1,), (0.2,), master_seed=bad)
 
 
 def sweep_fixture(**overrides):
@@ -156,6 +161,22 @@ def test_run_sweep_order_and_seeds():
     # per-cell seeds derive from (master, cell index)
     assert [r.rng_seed for r in rows] == [derive_seed(99, i) for i in range(4)]
     assert all(r.trace_id == trace_label(SMALL) for r in rows)
+
+
+def test_numpy_int_seeds_give_the_rows_of_python_ints():
+    # every kind, through run_single and run_sweep: a numpy seed is the
+    # Python int it equals
+    for seed in (np.int64(5), np.uint64(5), np.int32(5)):
+        for kind in KINDS:
+            spec = PolicySpec(kind, (8, 24), tie_break="reject", promote_prob=0.3)
+            want = run_single(replace(spec, rng_seed=5), open_trace(SMALL))
+            row = run_single(replace(spec, rng_seed=seed), open_trace(SMALL))
+            assert row == want and type(row.rng_seed) is int
+        kinds = tuple(PolicySpec(k, (1, 1), rng_seed=seed) for k in KINDS)
+        want = run_sweep(sweep_fixture(policies=kinds, master_seed=99))
+        rows = run_sweep(sweep_fixture(policies=kinds, master_seed=np.int64(99)))
+        assert rows == want
+        assert all(type(row.rng_seed) is int for row in rows)
 
 
 def test_run_sweep_is_reproducible():
@@ -429,10 +450,9 @@ def test_demote_rows_equal_an_engine_replay():
     # replaying the raw keys, at 2 to 4 levels
     rnd = random.Random(1616)
     latency = LatencyParams((100.0, 200_000.0, 400_000.0, 800_000.0))
-    # True, 1 and 1.0 are one key, None another; a one-access trace; and
-    # totals above the footprint (40 keys), where only first accesses miss
-    mixed = [None, True, 1, 1.0, "1", None, 2, 1.0, True, None, 2.0, 1]
-    cases = [(mixed, (1, 1)), (mixed, (2, 1, 1)), ([7], (1, 1)), (["k"], (3, 2, 1, 1)),
+    # MIXED; a one-access trace; and totals above the footprint (40
+    # keys), where only first accesses miss
+    cases = [(MIXED, (1, 1)), (MIXED, (2, 1, 1)), ([7], (1, 1)), (["k"], (3, 2, 1, 1)),
              (list(range(40)) * 3, (30, 50)), (list(range(40)) * 3, (5, 10, 20, 40))]
     for _ in range(60):
         n_levels = rnd.randint(2, 4)
@@ -460,9 +480,8 @@ def test_demote_rows_of_raw_keys_need_no_engine_replay(monkeypatch):
     # CompiledTrace: with the engine's handle disabled, run_single still
     # gives the rows of an engine replay
     latency = LatencyParams((100.0, 200_000.0, 400_000.0))
-    mixed = [None, True, 1, 1.0, "1", None, 2, 1.0, True, None, 2.0, 1]
     cases = [(list(open_trace(SMALL)), caps) for caps in ((8, 24), (4, 12, 40))]
-    cases.append((mixed, (1, 2)))
+    cases.append((MIXED, (1, 2)))
     expected = [_replayed_row(PolicySpec("Demote", caps), keys, latency)
                 for keys, caps in cases]
 

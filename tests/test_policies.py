@@ -83,6 +83,21 @@ def test_engine_constructors_reject_bad_capacities():
         assert engine((np.int64(2), np.int64(4))).n_levels == 2
 
 
+def test_seeds_must_be_integers():
+    # a seed is refused at construction unless it is an integer; numpy
+    # integers are stored as Python ints, as capacities are
+    for bad in (1.5, "3", None):
+        for kind in ("BiDiFilter", "BiDiFilterUnited", "Demote", "NaiveLRU", "Promote"):
+            with pytest.raises(ValueError, match="rng_seed"):
+                PolicySpec(kind, (2, 4), rng_seed=bad)
+        for engine in (CascadeFilter, BiDiFilter, BiDiFilterUnited, Promote):
+            with pytest.raises(ValueError, match="rng_seed"):
+                engine((2, 4), rng_seed=bad)
+    for seed in (np.int64(5), np.uint64(5), np.int32(-5)):
+        spec = PolicySpec("Promote", (2, 4), rng_seed=seed)
+        assert type(spec.rng_seed) is int and spec.rng_seed == seed
+
+
 def test_make_policy_kinds():
     assert isinstance(make_policy(PolicySpec("BiDiFilter", (2, 4))), BiDiFilter)
     assert isinstance(make_policy(PolicySpec("BiDiFilter", (2, 4, 8))), CascadeFilter)

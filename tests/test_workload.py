@@ -44,15 +44,19 @@ def test_spec_validation():
     ]:
         with pytest.raises(ValueError):
             SyntheticSpec(**{**good, field: bad})
+    # the seed is an integer >= 0, checked before the first draw
+    for bad in (1.5, "3", None, -1):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SyntheticSpec(**good, rng_seed=bad)
 
 
 def test_spec_stores_numpy_integers_as_python_ints():
     spec = SyntheticSpec(length=np.int64(10), ground_set=np.uint32(5), skew=0.8,
-                         recency=0.3)
-    assert type(spec.length) is int and type(spec.ground_set) is int
-    assert spec == SyntheticSpec(length=10, ground_set=5, skew=0.8, recency=0.3)
-    assert list(generate_synthetic(spec)) == list(generate_synthetic(
-        SyntheticSpec(length=10, ground_set=5, skew=0.8, recency=0.3)))
+                         recency=0.3, rng_seed=np.uint64(4))
+    assert all(type(v) is int for v in (spec.length, spec.ground_set, spec.rng_seed))
+    same = SyntheticSpec(length=10, ground_set=5, skew=0.8, recency=0.3, rng_seed=4)
+    assert spec == same
+    assert list(generate_synthetic(spec)) == list(generate_synthetic(same))
 
 
 def test_zipf_cumulative_values():
