@@ -8,11 +8,12 @@ share one entry in the policies' dicts, and the key seen first stands
 for it.  The policy's sketch is bound to that list, so each distinct key
 is hashed once per cell, into a slot table indexed by id.
 
-Demote is one global LRU order spread across the levels, so its rows
-need no replay: the trace's LRU profile (``lru_profile``: each access's
-stack distance, as in Mattson et al., "Evaluation techniques for
-storage hierarchies", 1970), computed on first use and kept, gives its
-row at every geometry (``Demote.outcome_counts``).
+Demote is one global LRU order spread across the levels, so over a
+compiled trace its rows need no replay: the trace's LRU profile
+(``lru_profile``: each access's stack distance, as in Mattson et al.,
+"Evaluation techniques for storage hierarchies", 1970), computed on
+first use and kept, gives its row at every geometry
+(``Demote.outcome_counts``).
 
 A sweep reads and compiles its trace once and runs every cell through
 ``run_single``; under ``jobs > 1`` each worker process receives the
@@ -121,10 +122,13 @@ def run_single(
 
     A filtered kind compiles the trace (``compile_trace``) and binds its
     distinct keys to the policy, so the sketch hashes each key once.
-    Demote compiles it too and reads its row off the trace's ``profile``
-    (at 1M accesses, about 80 MB above the start); the other kinds
-    replay the trace as given.  The outcomes are counted in one bulk
-    call and checked once, at the end; a policy's own invariants
+    Demote reads its row off a CompiledTrace's ``profile``, which every
+    later Demote row over that trace reuses.  Raw keys, Demote's
+    included, are replayed as they come: the replay holds only the
+    cache, where the profile needs the whole trace as ids and a few
+    arrays of its length (at 1M accesses, about 80 MB above the start
+    against 23 MB).  The outcomes are counted in one bulk call and
+    checked once, at the end; a policy's own invariants
     (``check_invariants``) are left to callers that replay it
     themselves.
     """
@@ -133,8 +137,8 @@ def run_single(
         raise ValueError("latency params cover fewer levels than the policy")
     policy = make_policy(policy_spec)
     stats = SimStats(policy.n_levels)
-    if policy_spec.kind == "Demote":
-        stats.add_all(policy.outcome_counts(*compile_trace(trace).profile))
+    if policy_spec.kind == "Demote" and isinstance(trace, CompiledTrace):
+        stats.add_all(policy.outcome_counts(*trace.profile))
     else:
         if policy_spec.kind in _FILTERED_KINDS:
             trace = compile_trace(trace)

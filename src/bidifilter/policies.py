@@ -42,8 +42,8 @@ across the levels) and ``NaiveLRU`` (p = 0, q = 1: independent levels,
 hits never move items up).  ``oracles.reference_chain_outcomes``
 restates it with python lists.  Demote's whole histogram also follows
 from a trace's LRU stack distances (``Demote.outcome_counts``), which
-``run_single`` reads every Demote row from.  Policies with a single
-undivided L1 report L1 hits in the window bucket.
+``run_single`` reads a compiled trace's rows from.  Policies with a
+single undivided L1 report L1 hits in the window bucket.
 """
 
 from __future__ import annotations

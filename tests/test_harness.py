@@ -14,7 +14,6 @@ import pytest
 from bidifilter import (
     KINDS,
     RESULT_FIELDS,
-    Demote,
     LatencyParams,
     PolicySpec,
     ResultRow,
@@ -41,8 +40,6 @@ from bidifilter.sketch import derive_seed
 from bidifilter.workload import count_uniques
 
 SMALL = SyntheticSpec(length=4000, ground_set=120, skew=0.8, recency=0.3, rng_seed=5)
-# True, 1 and 1.0 are one key, None another
-MIXED = [None, True, 1, 1.0, "1", None, 2, 1.0, True, None, 2.0, 1]
 
 
 def test_run_single_fields_and_closure():
@@ -450,9 +447,10 @@ def test_demote_rows_equal_an_engine_replay():
     # replaying the raw keys, at 2 to 4 levels
     rnd = random.Random(1616)
     latency = LatencyParams((100.0, 200_000.0, 400_000.0, 800_000.0))
-    # MIXED; a one-access trace; and totals above the footprint (40
-    # keys), where only first accesses miss
-    cases = [(MIXED, (1, 1)), (MIXED, (2, 1, 1)), ([7], (1, 1)), (["k"], (3, 2, 1, 1)),
+    # True, 1 and 1.0 are one key, None another; a one-access trace; and
+    # totals above the footprint (40 keys), where only first accesses miss
+    mixed = [None, True, 1, 1.0, "1", None, 2, 1.0, True, None, 2.0, 1]
+    cases = [(mixed, (1, 1)), (mixed, (2, 1, 1)), ([7], (1, 1)), (["k"], (3, 2, 1, 1)),
              (list(range(40)) * 3, (30, 50)), (list(range(40)) * 3, (5, 10, 20, 40))]
     for _ in range(60):
         n_levels = rnd.randint(2, 4)
@@ -473,26 +471,6 @@ def test_demote_rows_equal_an_engine_replay():
         compiled = compile_trace(keys)
         assert run_single(spec, compiled, latency, "t") == expected, (source, caps)
         assert "profile" in vars(compiled)  # computed, and kept for later rows
-
-
-def test_demote_rows_of_raw_keys_need_no_engine_replay(monkeypatch):
-    # raw keys, listed or lazy, are compiled and profiled like a
-    # CompiledTrace: with the engine's handle disabled, run_single still
-    # gives the rows of an engine replay
-    latency = LatencyParams((100.0, 200_000.0, 400_000.0))
-    cases = [(list(open_trace(SMALL)), caps) for caps in ((8, 24), (4, 12, 40))]
-    cases.append((MIXED, (1, 2)))
-    expected = [_replayed_row(PolicySpec("Demote", caps), keys, latency)
-                for keys, caps in cases]
-
-    def no_replay(self, key):
-        raise AssertionError("a Demote row replayed the engine")
-
-    monkeypatch.setattr(Demote, "handle", no_replay)
-    for (keys, caps), want in zip(cases, expected):
-        spec = PolicySpec("Demote", caps)
-        assert run_single(spec, keys, latency, "t") == want, caps
-        assert run_single(spec, iter(keys), latency, "t") == want, caps
 
 
 def make_row(**overrides):
