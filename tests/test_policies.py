@@ -50,6 +50,21 @@ def run(policy, keys):
     return [policy.handle(k) for k in keys]
 
 
+def assert_inserts_equal_writes(policy, outcomes, case):
+    # every level's spaces tallied as many inserts as the outcomes
+    # reported writes at that level
+    writes = [0] * policy.n_levels
+    for out in outcomes:
+        for level, count in out.writes:
+            writes[level - 1] += count
+    if isinstance(policy, CascadeFilter):
+        levels = [(policy.window, policy.veterans), *((sp,) for sp in policy.mains)]
+    else:
+        levels = [(sp,) for sp in policy.levels]
+    inserts = [sum(sp.insert_count for sp in spaces) for spaces in levels]
+    assert inserts == writes, case
+
+
 def test_policyspec_validation():
     with pytest.raises(ValueError):
         PolicySpec(kind="Nope", level_capacities=(1, 1))
@@ -342,6 +357,7 @@ def test_filtered_kinds_match_list_reference():
         fast = run(pol, keys)
         ref = reference_filter_outcomes(keys, caps, default_sketch(caps, seed), wf, tie)
         assert fast == ref, (kind, caps, wf, tie)
+        assert_inserts_equal_writes(pol, fast, (kind, caps, wf, tie))
 
 
 def test_sketch_state_depends_on_the_trace_alone():
@@ -414,6 +430,7 @@ def test_chain_kinds_match_list_reference():
         fast = run(pol, keys)
         ref = reference_chain_outcomes(keys, caps, p, q, random.Random(seed))
         assert fast == ref, (kind, caps, p, q)
+        assert_inserts_equal_writes(pol, fast, (kind, caps, p, q))
 
 
 def test_none_is_a_key_like_any_other():
@@ -614,23 +631,6 @@ def test_exclusivity_and_capacity_property():
         for _ in range(2000):
             pol.handle(rnd.randint(0, 25))
             pol.check_invariants()
-
-
-def test_write_accounting_matches_space_instrumentation():
-    # reported per-level writes must equal actual inserts into the spaces
-    rnd = random.Random(60)
-    spec = PolicySpec("BiDiFilter", (4, 8), rng_seed=9)
-    pol = make_policy(spec)
-    w1 = w2 = 0
-    for _ in range(5000):
-        out = pol.handle(rnd.randint(0, 30))
-        for lvl, cnt in out.writes:
-            if lvl == 1:
-                w1 += cnt
-            else:
-                w2 += cnt
-    assert w1 == pol.window.insert_count + pol.veterans.insert_count
-    assert w2 == pol.l2.insert_count
 
 
 def test_l1_split_rounding():
