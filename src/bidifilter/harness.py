@@ -112,6 +112,16 @@ def compile_trace(trace: Iterable) -> CompiledTrace:
     return CompiledTrace(ids, list(index))
 
 
+def _check_latency_covers(latency: LatencyParams, n_levels: int, what: str) -> None:
+    """Raise, saying what to pass, unless ``latency`` prices every level."""
+    given = len(latency.level_ns)
+    if given < n_levels:
+        raise ValueError(
+            f"a {n_levels}-level {what} needs {n_levels} level latencies, {given} given; "
+            f"pass latency=LatencyParams(level_ns=(t_l1, ..., t_l{n_levels}), miss_ns=t_miss)"
+        )
+
+
 def run_single(
     policy_spec: PolicySpec,
     trace: Iterable,
@@ -133,8 +143,7 @@ def run_single(
     themselves.
     """
     latency = latency or LatencyParams()
-    if len(latency.level_ns) < policy_spec.n_levels:
-        raise ValueError("latency params cover fewer levels than the policy")
+    _check_latency_covers(latency, policy_spec.n_levels, "policy")
     policy = make_policy(policy_spec)
     stats = SimStats(policy.n_levels)
     if policy_spec.kind == "Demote" and isinstance(trace, CompiledTrace):
@@ -261,8 +270,7 @@ class SweepSpec:
         if not isinstance(self.master_seed, Integral):
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        if len(self.latency.level_ns) < self.n_levels:
-            raise ValueError("latency params cover fewer levels than the sweep")
+        _check_latency_covers(self.latency, self.n_levels, "sweep")
 
 
 def trace_label(source) -> str:

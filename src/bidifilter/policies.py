@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sketch import FrequencySketch, SketchConfig, mix64
-from .spaces import _NO_VICTIM, LruSpace, SlruSpace
+from .spaces import _NO_VICTIM, LruSpace, SlruSpace, lru_cascade, lru_chain
 
 MISS = "miss"
 HIT_L1_WINDOW = "hit_l1_window"
@@ -387,7 +387,8 @@ class Promote:
 
     Outcomes are interned per engine: every insert starts at L1 and
     cascades down, so a request writes levels 1 to the last level
-    ``_push_top`` reports, or nothing for a hit refreshed in place.
+    ``spaces.lru_cascade`` reports, or nothing for a hit refreshed in
+    place.  That function also tallies each level's ``insert_count``.
     """
 
     def __init__(self, level_capacities, *, promote_prob=PolicySpec.promote_prob,
@@ -408,6 +409,7 @@ class Promote:
         # membership reads, removals and recency updates bypass the space
         # wrappers in the hot loop
         self._chain = tuple(enumerate(sp._od for sp in self.levels))
+        self._cascade = lru_chain(self.levels)
         self.promote_prob = promote_prob
         self.demote_prob = demote_prob
         self.rng = random.Random(rng_seed)
@@ -421,21 +423,11 @@ class Promote:
             if key in od:
                 if i and self._coin() < self.promote_prob:
                     del od[key]
-                    return self._hits[i][self._push_top(key)]
+                    return self._hits[i][
+                        lru_cascade(self._cascade, key, self._coin, self.demote_prob)]
                 od.move_to_end(key)
                 return self._hits[i][0]
-        return self._misses[self._push_top(key)]
-
-    def _push_top(self, item) -> int:
-        # insert at L1 MRU; each overflow victim moves one level down if the
-        # demotion coin lets it, else it leaves the cache.  Returns the
-        # last level written.
-        coin, demote_prob = self._coin, self.demote_prob
-        for level, space in enumerate(self.levels, start=1):
-            item = space.push(item)
-            if item is _NO_VICTIM or coin() >= demote_prob:
-                return level
-        return self.n_levels
+        return self._misses[lru_cascade(self._cascade, key, self._coin, self.demote_prob)]
 
     def check_invariants(self) -> None:
         _check_exclusive(self.levels)

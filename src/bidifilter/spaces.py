@@ -3,8 +3,11 @@
 Spaces track membership and eviction order.  ``push`` inserts a key and,
 in a full space, evicts and returns the victim; ``victim_if_full`` names
 it beforehand.  Both return ``_NO_VICTIM`` for no victim (``None`` is a
-key like any other).  ``insert_count`` tallies every insert so write
-accounting can be cross-checked from the outside.
+key like any other).  ``lru_cascade`` inserts at the top of a chain of
+LRU spaces and carries each overflow victim down it in one call; the
+unfiltered policies write through it, the filtered ones through
+``push`` and ``insert``.  ``insert_count`` tallies every insert either
+way, so write accounting can be cross-checked from the outside.
 """
 
 from __future__ import annotations
@@ -150,3 +153,33 @@ class SlruSpace(_Space):
         assert len(self) <= self.capacity
         assert len(self._protected) <= self.protected_capacity
         assert not (self._probation.keys() & self._protected.keys())
+
+
+def lru_chain(spaces) -> tuple:
+    """The ``(level, space, its OrderedDict, capacity)`` entries, top
+    first, that ``lru_cascade`` walks: one per LruSpace, levels from 1."""
+    chain = tuple((level, sp, sp._od, sp.capacity) for level, sp in enumerate(spaces, start=1))
+    if not all(capacity >= 1 for *_, capacity in chain):
+        raise ValueError("every space of a cascade needs room for a key")
+    return chain
+
+
+def lru_cascade(chain, key, coin, demote_prob) -> int:
+    """Insert ``key``, in none of the chain's spaces, at L1 MRU; while a
+    level overflows, pop its LRU key and carry it one level down if
+    ``coin() < demote_prob``, else it leaves the cache, as the bottom
+    level's victim does.  One draw per overflow, top down.  Adds one to
+    each written level's ``insert_count``; returns the last level written.
+
+    Every level holds at least one key, so the key popped after an
+    insert is the victim ``push`` would have evicted before it.
+    """
+    for level, space, od, capacity in chain:
+        od[key] = None
+        space.insert_count += 1
+        if len(od) <= capacity:
+            return level
+        key = od.popitem(False)[0]  # the LRU end
+        if coin() >= demote_prob:
+            return level
+    return level

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,21 @@ def test_sweep_spec_validation():
     for bad in (1.5, "3", None):
         with pytest.raises(ValueError, match="master_seed"):
             SweepSpec(SMALL, pols, (0.1,), (0.2,), master_seed=bad)
+
+
+def test_latency_errors_say_what_to_pass():
+    # a run or sweep deeper than its latencies names the count it needs,
+    # the count given and the argument that fixes it
+    with pytest.raises(ValueError, match=re.escape(
+            "a 3-level policy needs 3 level latencies, 2 given; pass latency="
+            "LatencyParams(level_ns=(t_l1, ..., t_l3), miss_ns=t_miss)")):
+        run_single(PolicySpec("Demote", (1, 1, 1)), [1, 2, 1])
+    three = LatencyParams((100.0, 200_000.0, 500_000.0))
+    with pytest.raises(ValueError, match=re.escape(
+            "a 4-level sweep needs 4 level latencies, 3 given; pass latency="
+            "LatencyParams(level_ns=(t_l1, ..., t_l4), miss_ns=t_miss)")):
+        SweepSpec(SMALL, (PolicySpec("Demote", (1, 1)),), (0.1,), (0.2,),
+                  latency=three, n_levels=4)
 
 
 def sweep_fixture(**overrides):

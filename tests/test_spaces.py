@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from bidifilter import LruSpace, SlruSpace
-from bidifilter.spaces import _NO_VICTIM
+from bidifilter.spaces import _NO_VICTIM, lru_cascade, lru_chain
 
 
 def test_lru_insert_order():
@@ -278,3 +279,46 @@ def test_push_and_victim_if_full_match_list_model():
             assert list(sp.keys()) == model.keys(), trial
             assert sp.insert_count == model.insert_count
             sp.check()
+
+
+def test_lru_cascade_hand_traced():
+    # capacities 1, 2, 3; keys listed LRU first per level
+    spaces = [LruSpace(c) for c in (1, 2, 3)]
+    chain = lru_chain(spaces)
+
+    def state():
+        return [list(sp.keys()) for sp in spaces], [sp.insert_count for sp in spaces]
+
+    carry = itertools.repeat(0.5).__next__  # every draw < 1: victims move on
+    assert lru_cascade(chain, "a", carry, 1.0) == 1  # L1 had room
+    assert lru_cascade(chain, "b", carry, 1.0) == 2  # a carried into L2
+    assert state() == ([["b"], ["a"], []], [2, 1, 0])
+    assert lru_cascade(chain, None, carry, 1.0) == 2  # b joins a in L2
+    assert state() == ([[None], ["a", "b"], []], [3, 2, 0])
+    assert lru_cascade(chain, "c", carry, 1.0) == 3  # None to L2, a on to L3
+    assert state() == ([["c"], ["b", None], ["a"]], [4, 3, 1])
+    # a coin that stops after one hop: c is carried into L2, whose victim b
+    # then leaves the cache; exactly two draws are made
+    draws = iter([0.1, 0.9])
+    assert lru_cascade(chain, "d", draws.__next__, 0.5) == 2
+    assert next(draws, "spent") == "spent"
+    assert state() == ([["d"], [None, "c"], ["a"]], [5, 4, 1])
+    # None is carried down as a victim like any other key
+    assert lru_cascade(chain, "e", carry, 1.0) == 3
+    assert state() == ([["e"], ["c", "d"], ["a", None]], [6, 5, 2])
+    assert lru_cascade(chain, "f", carry, 1.0) == 3
+    assert state() == ([["f"], ["d", "e"], ["a", None, "c"]], [7, 6, 3])
+    # the bottom level's victim leaves the cache, and its hop draws too
+    draws = iter([0.1, 0.1, 0.1])
+    assert lru_cascade(chain, "g", draws.__next__, 0.5) == 3
+    assert next(draws, "spent") == "spent"
+    assert state() == ([["g"], ["e", "f"], [None, "c", "d"]], [8, 7, 4])
+    for sp in spaces:
+        sp.check()
+
+
+def test_lru_chain_needs_room_in_every_space():
+    top, bottom = LruSpace(1), LruSpace(3)
+    assert lru_chain([top, bottom]) == ((1, top, top._od, 1), (2, bottom, bottom._od, 3))
+    with pytest.raises(ValueError):
+        lru_chain([LruSpace(1), LruSpace(0)])
