@@ -337,7 +337,9 @@ def test_cascade_n2_matches_bidifilter_exactly():
 
 def test_filtered_kinds_match_list_reference():
     # every request of both filtered kinds, at 2-4 levels, against the
-    # list-based reference fed an identically seeded sketch
+    # list-based reference fed an identically seeded sketch; each case
+    # replays twice, over the raw keys and, as run_single does, over the
+    # compiled trace with the sketch bound to its distinct keys
     rnd = random.Random(77)
     cases = [("BiDiFilter", n, wf, tie)
              for n in (2, 3, 4)
@@ -352,12 +354,17 @@ def test_filtered_kinds_match_list_reference():
                 for _ in range(1500)]
         if rnd.random() < 0.3:
             keys = [f"k{k}" for k in keys]
-        pol = make_policy(PolicySpec(kind, caps, window_fraction=wf,
-                                     tie_break=tie, rng_seed=seed))
-        fast = run(pol, keys)
+        spec = PolicySpec(kind, caps, window_fraction=wf, tie_break=tie, rng_seed=seed)
         ref = reference_filter_outcomes(keys, caps, default_sketch(caps, seed), wf, tie)
-        assert fast == ref, (kind, caps, wf, tie)
-        assert_inserts_equal_writes(pol, fast, (kind, caps, wf, tie))
+        trace = compile_trace(keys)
+        for bound in (False, True):
+            pol = make_policy(spec)
+            if bound:
+                pol.bind_keys(trace.keys)
+            fast = run(pol, trace if bound else keys)
+            case = (kind, caps, wf, tie, bound)
+            assert fast == ref, case
+            assert_inserts_equal_writes(pol, fast, case)
 
 
 def test_sketch_state_depends_on_the_trace_alone():
