@@ -52,7 +52,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -105,10 +105,10 @@ def _check_level_capacities(level_capacities) -> tuple[int, ...]:
 
 
 def _check_fractions(**values) -> None:
-    """Raise unless every named value lies in [0, 1]."""
+    """Raise unless every named value is a real number in [0, 1]."""
     for name, value in values.items():
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1]")
+        if not (isinstance(value, Real) and 0.0 <= value <= 1.0):
+            raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 def _check_seed(rng_seed) -> int:

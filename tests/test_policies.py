@@ -80,6 +80,19 @@ def test_policyspec_validation():
         PolicySpec(kind="Promote", level_capacities=(2, 4), promote_prob=-0.1)
     with pytest.raises(ValueError, match="exactly two levels"):
         PolicySpec(kind="BiDiFilterUnited", level_capacities=(2, 4, 8))
+    # a fraction that is no number is refused by name, not by a TypeError
+    for bad in ("0.5", None, (0.5,)):
+        with pytest.raises(ValueError, match="window_fraction"):
+            PolicySpec("BiDiFilter", (2, 4), window_fraction=bad)
+        with pytest.raises(ValueError, match="window_fraction"):
+            CascadeFilter((2, 4), window_fraction=bad)
+        for field in ("promote_prob", "demote_prob"):
+            with pytest.raises(ValueError, match=field):
+                PolicySpec("Promote", (2, 4), **{field: bad})
+            with pytest.raises(ValueError, match=field):
+                Promote((2, 4), **{field: bad})
+    for good in (np.float64(0.25), np.float32(1.0), 0, 1):
+        assert PolicySpec("Promote", (2, 4), promote_prob=good).promote_prob == good
     for caps in ((2, 4.5), (2.0, 4), (2, 4, 8.0), (2, "4")):
         for kind in ("Demote", "BiDiFilter"):
             with pytest.raises(ValueError, match="integer"):
@@ -485,6 +498,52 @@ class _Renaming:
 
     def estimate(self, key):
         return self.sketch.estimate(99 if key is None else key)
+
+
+class _CountingSketch:
+    """A sketch stand-in that forwards every call and counts it."""
+
+    def __init__(self, sketch):
+        self.sketch = sketch
+        self.records = self.estimates = 0
+
+    def record(self, key):
+        self.records += 1
+        self.sketch.record(key)
+
+    def estimate(self, key):
+        self.estimates += 1
+        return self.sketch.estimate(key)
+
+
+def test_probe_hooks_see_every_record_and_contest():
+    # a stand-in assigned to .sketch and a list assigned to decision_log
+    # from outside, as a profiler wraps a policy, see every request
+    # recorded once and every contest as two estimates and one entry,
+    # and leave the outcomes as they are
+    rnd = random.Random(61)
+    for n_levels in (2, 3):
+        for wf in (0.0, 0.5, 1.0):
+            for tie in ("admit", "reject"):
+                caps = tuple(rnd.randint(2, 8) for _ in range(n_levels))
+                seed = rnd.randint(0, 2**32)
+                keys = [rnd.randint(0, 3 * sum(caps)) for _ in range(1200)]
+                trace = compile_trace(keys)
+                spec = PolicySpec("BiDiFilter", caps, window_fraction=wf,
+                                  tie_break=tie, rng_seed=seed)
+                plain = make_policy(spec)
+                plain.bind_keys(trace.keys)
+                expected = run(plain, trace)
+                pol = make_policy(spec)
+                pol.bind_keys(trace.keys)
+                pol.sketch = probe = _CountingSketch(pol.sketch)
+                pol.decision_log = log = []
+                case = (caps, wf, tie)
+                assert run(pol, trace) == expected, case
+                assert probe.records == len(keys), case
+                assert log and probe.estimates == 2 * len(log), case
+                assert all(admitted == (ce > ve if tie == "reject" else ce >= ve)
+                           for _, _, ce, ve, admitted in log), case
 
 
 def test_admission_soundness_decision_log():
