@@ -34,6 +34,12 @@ every engine interns its outcomes: it builds them all once, when it is
 constructed, in tables indexed by the last level a request wrote, and
 handling a request returns a table entry without allocating.
 
+Each space also tallies the writes into it (``insert_count``), so the
+accounting can be checked from outside.  ``CascadeFilter.handle``
+tallies the L1 and L2 writes it makes itself; the space methods tally
+the rest of the filtered policy's (filling free L1 room, and every
+level below L2), and ``spaces.lru_cascade`` the baselines'.
+
 Baselines: one unfiltered engine, ``Promote``, chains plain LRU levels
 and moves keys between them by coin flips (promote a deep hit with
 probability p, write each demotion victim onward with probability q).
@@ -209,19 +215,30 @@ class CascadeFilter:
     """The filtered policy: a Window/Veterans L1 over SLRU levels 2..N.
 
     A filter sits between every adjacent pair of levels.  A miss inserts
-    at the top, and what it displaces walks down (``_admit_down``): a
-    winning candidate's displaced victim is the next level's candidate,
-    and a loser or the bottom level's victim leaves the cache.  Without
-    a window the missed key contests Veterans, and a veteran it displaces
-    takes its first hop, into L2, unfiltered.  A hit at level i is a
-    filtered promotion into level i-1 (Veterans, or the window when
-    there are no Veterans, for i = 2) whose displaced victim demotes
-    into the slot the hit just vacated.
+    at the top, and what it displaces walks down: a winning candidate's
+    displaced victim is the next level's candidate, and a loser or the
+    bottom level's victim leaves the cache.  Without a window the missed
+    key contests Veterans, and a veteran it displaces takes its first
+    hop, into L2, unfiltered.  A hit at level i is a filtered promotion
+    into level i-1 (Veterans, or the window when there are no Veterans,
+    for i = 2) whose displaced victim demotes into the slot the hit just
+    vacated.
+
+    ``handle`` runs the top two levels itself, on the spaces'
+    OrderedDicts: L1 hits, a miss's L1 insert and its L2 step, and an L2
+    hit's promotion.  It adds one to a space's ``insert_count`` for each
+    write it makes there, and fills free room in L1 through
+    ``LruSpace.insert``.  Levels 3..N go through the space methods,
+    which tally their own writes: ``_admit_down`` walks the victim L2
+    displaced down them, and ``_on_deep_hit`` promotes a hit at level 3
+    or deeper.  Every contest is decided by ``_wins``, and every sketch
+    call goes through ``self.sketch``, so stand-ins assigned to it and
+    to ``decision_log`` see each record, estimate and contest.
 
     Outcomes are interned per engine: a miss writes a run of levels
     from L1 (or from L2, when the missed key itself walks down) to the
-    last level ``_admit_down`` reports, and a hit at level i writes
-    nothing, level i-1, or levels i-1 and i.
+    last level written, and a hit at level i writes nothing, level i-1,
+    or levels i-1 and i.
     """
 
     def __init__(
@@ -254,11 +271,14 @@ class CascadeFilter:
         self.decision_log = None
         # L2 hits promote into Veterans, or into the window if there are none
         self._top = self.veterans if self.veterans.capacity > 0 else self.window
-        # membership reads bypass the space wrappers in the hot loop
-        self._win_od = self.window._od
-        self._vet_od = self.veterans._od
-        self._l2_prob = self.mains[0]._probation
-        self._l2_prot = self.mains[0]._protected
+        # the hot path reads and writes the top two levels' OrderedDicts
+        # and capacities directly
+        self._l2 = self.mains[0]
+        self._win_od, self._win_cap = self.window._od, self.window.capacity
+        self._vet_od, self._vet_cap = self.veterans._od, self.veterans.capacity
+        self._top_od, self._top_cap = self._top._od, self._top.capacity
+        self._l2_prob, self._l2_prot = self._l2._probation, self._l2._protected
+        self._l2_cap = self._l2.capacity
         self._deeper = tuple(enumerate(self.mains[1:], start=3))
         # interned outcomes: misses indexed by the last level written;
         # deep hits by level - 2, like mains, then (touched, promoted,
@@ -279,18 +299,80 @@ class CascadeFilter:
 
     def handle(self, key) -> AccessOutcome:
         self.sketch.record(key)
-        if key in self._win_od:
-            self._win_od.move_to_end(key)
+        win, vet = self._win_od, self._vet_od
+        if key in win:
+            win.move_to_end(key)
             return _HIT_WINDOW
-        if key in self._vet_od:
-            self._vet_od.move_to_end(key)
+        if key in vet:
+            vet.move_to_end(key)
             return _HIT_VETERANS
-        if key in self._l2_prob or key in self._l2_prot:
-            return self._on_deep_hit(key, 2)
+        prob, prot = self._l2_prob, self._l2_prot
+        if key in prob or key in prot:
+            # promote into the top space; a displaced victim takes the
+            # slot the hit vacates, a refused hit is touched in L2
+            touched, promoted, swapped = self._deep_hits[0]
+            top = self._top_od
+            if len(top) < self._top_cap:
+                self._l2.remove(key)
+                self._top.insert(key)
+                return promoted
+            for victim in top:  # its LRU key
+                break
+            if not self._wins(key, victim):
+                self._l2.touch(key)
+                return touched
+            del (prob if key in prob else prot)[key]
+            del top[victim]
+            top[key] = None
+            self._top.insert_count += 1
+            prob[victim] = None
+            self._l2.insert_count += 1
+            return swapped
         for level, space in self._deeper:
             if key in space:
                 return self._on_deep_hit(key, level)
-        return self._on_miss(key)
+        # a miss enters the window, or without one contests Veterans
+        if self._win_cap:
+            if len(win) < self._win_cap:
+                self.window.insert(key)
+                return self._misses_from_l1[1]
+            candidate = win.popitem(False)[0]
+            win[key] = None
+            self.window.insert_count += 1
+            misses, contested = self._misses_from_l1, True
+        elif len(vet) < self._vet_cap:
+            self.veterans.insert(key)
+            return self._misses_from_l1[1]
+        else:
+            for victim in vet:  # its LRU key
+                break
+            if self._wins(key, victim):
+                # the missed key takes the veteran's slot, and the
+                # displaced veteran enters L2 unfiltered
+                del vet[victim]
+                vet[key] = None
+                self.veterans.insert_count += 1
+                candidate, misses, contested = victim, self._misses_from_l1, False
+            else:
+                candidate, misses, contested = key, self._misses_from_l2, True
+        # the L2 step: the candidate fills free room, or evicts L2's
+        # victim if it wins (or needs no contest); that victim walks on
+        # down levels 3..N, and at the bottom leaves the cache
+        if len(prob) + len(prot) < self._l2_cap:
+            prob[candidate] = None
+            self._l2.insert_count += 1
+            return misses[2]
+        lru = prob or prot
+        for victim in lru:  # L2's victim
+            break
+        if contested and not self._wins(candidate, victim):
+            return misses[1]
+        del lru[victim]
+        prob[candidate] = None
+        self._l2.insert_count += 1
+        if self._deeper:
+            return misses[self._admit_down(victim)]
+        return misses[2]
 
     def _wins(self, candidate, victim) -> bool:
         ce = self.sketch.estimate(candidate)
@@ -300,41 +382,24 @@ class CascadeFilter:
             self.decision_log.append((candidate, victim, ce, ve, admitted))
         return admitted
 
-    def _on_miss(self, key) -> AccessOutcome:
-        if self.window.capacity > 0:
-            candidate = self.window.push(key)
-            if candidate is _NO_VICTIM:
-                return self._misses_from_l1[1]
-            return self._misses_from_l1[self._admit_down(candidate, 2)]
-        victim = self.veterans.victim_if_full()
-        if victim is _NO_VICTIM:
-            self.veterans.insert(key)
-            return self._misses_from_l1[1]
-        if self._wins(key, victim):
-            # no window: the missed key took a veteran's slot, and the
-            # displaced veteran enters L2 unfiltered
-            self.veterans.push(key)
-            return self._misses_from_l1[self._admit_down(victim, 2, contested=False)]
-        return self._misses_from_l2[self._admit_down(key, 2)]
-
-    def _admit_down(self, candidate, level, contested=True) -> int:
-        # each hop is filtered, the first only if `contested`; a displaced
-        # victim walks on down, a rejected candidate leaves the cache.
-        # Returns the last level written, level - 1 if none was.
-        for level, space in enumerate(self.mains[level - 2:], start=level):
-            if contested:
-                victim = space.victim_if_full()
-                if victim is not _NO_VICTIM and not self._wins(candidate, victim):
-                    return level - 1
+    def _admit_down(self, candidate) -> int:
+        # a victim L2 displaced walks down levels 3..N, each hop filtered:
+        # a winner's displaced victim walks on, a rejected candidate
+        # leaves the cache.  Returns the last level written, 2 if none
+        # below L2 was.
+        for level, space in self._deeper:
+            victim = space.victim_if_full()
+            if victim is not _NO_VICTIM and not self._wins(candidate, victim):
+                return level - 1
             candidate = space.push(candidate)
             if candidate is _NO_VICTIM:
                 return level
-            contested = True
         return self.n_levels
 
     def _on_deep_hit(self, key, level: int) -> AccessOutcome:
-        src = self.mains[level - 2]
-        target = self._top if level == 2 else self.mains[level - 3]
+        # a hit at level 3 or deeper: the same filtered promotion as an
+        # L2 hit's in handle, one level up, through the space methods
+        src, target = self.mains[level - 2], self.mains[level - 3]
         touched, promoted, swapped = self._deep_hits[level - 2]
         victim = target.victim_if_full()
         if victim is _NO_VICTIM:

@@ -4,10 +4,20 @@ Spaces track membership and eviction order.  ``push`` inserts a key and,
 in a full space, evicts and returns the victim; ``victim_if_full`` names
 it beforehand.  Both return ``_NO_VICTIM`` for no victim (``None`` is a
 key like any other).  ``lru_cascade`` inserts at the top of a chain of
-LRU spaces and carries each overflow victim down it in one call; the
-unfiltered policies write through it, the filtered ones through
-``push`` and ``insert``.  ``insert_count`` tallies every insert either
-way, so write accounting can be cross-checked from the outside.
+LRU spaces and carries each overflow victim down it in one call.
+
+Who writes each level, and tallies the write in ``insert_count``:
+
+* the unfiltered policies write every level through ``lru_cascade``,
+  which tallies each write itself;
+* the filtered policy's ``handle`` writes L1 and L2 on the spaces'
+  OrderedDicts and adds one to ``insert_count`` per write itself, but
+  fills free room in L1 through ``insert``;
+* below L2 the filtered policy writes through ``push`` and ``insert``,
+  which tally their own.
+
+So ``insert_count`` counts every write, and write accounting can be
+cross-checked from the outside.
 """
 
 from __future__ import annotations
