@@ -363,7 +363,7 @@ class CascadeFilter:
             self._l2.insert_count += 1
             return misses[2]
         lru = prob or prot
-        for victim in lru:  # L2's victim
+        for victim in lru:  # probation's LRU key, or protected's if it is empty
             break
         if contested and not self._wins(candidate, victim):
             return misses[1]
@@ -397,8 +397,8 @@ class CascadeFilter:
         return self.n_levels
 
     def _on_deep_hit(self, key, level: int) -> AccessOutcome:
-        # a hit at level 3 or deeper: the same filtered promotion as an
-        # L2 hit's in handle, one level up, through the space methods
+        # a hit at level 3 or deeper: the filtered promotion handle runs
+        # inline for an L2 hit, here through the space methods
         src, target = self.mains[level - 2], self.mains[level - 3]
         touched, promoted, swapped = self._deep_hits[level - 2]
         victim = target.victim_if_full()

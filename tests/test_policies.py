@@ -542,8 +542,6 @@ def test_probe_hooks_see_every_record_and_contest():
                 assert run(pol, trace) == expected, case
                 assert probe.records == len(keys), case
                 assert log and probe.estimates == 2 * len(log), case
-                assert all(admitted == (ce > ve if tie == "reject" else ce >= ve)
-                           for _, _, ce, ve, admitted in log), case
 
 
 def test_admission_soundness_decision_log():
