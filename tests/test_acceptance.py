@@ -38,6 +38,7 @@ from bidifilter import (
     generate_synthetic,
     hit_at_level,
     hit_ratio,
+    level_capacities_for,
     make_policy,
     run_single,
     write_rows_csv,
@@ -329,6 +330,41 @@ def test_write_gap_rows_csv_digest(write_gap_rows):
     digest = _rows_digest([row for name in ("admit", "reject", "demote")
                            for row in rows[name]])
     assert digest == "c6b587e9056864a91eb2813c6277fa82d2dfbd8e0e9d3dc61714c278b0d0cac0"
+
+
+@pytest.fixture(scope="module")
+def three_level_trace():
+    """200k accesses of the acceptance shape, and 3-level capacities:
+    L2 a tenth of the footprint, L1 a tenth of L2, L3 ten times L2."""
+    spec = SyntheticSpec(length=200_000, ground_set=10**5, skew=0.8, recency=0.2,
+                         rng_seed=404)
+    trace = compile_trace(generate_synthetic(spec))
+    return trace, level_capacities_for(len(trace.keys), 0.1, 0.1, 3)
+
+
+_THREE_LEVEL_DIGESTS = {
+    (0.0, "admit"): "e320f45f9915b3454c05d118630b9bcbbfd9ff2218e048f166373a675868ff2e",
+    (0.0, "reject"): "6ced0453523dc7b90a5797b93578786948acbd8e1c08a7e86e3469b5b8629b3f",
+    (0.5, "admit"): "eecea7b9d5822db813bd804d3ed095ec2a67d2222e1d2e2b5507a509b8567441",
+    (0.5, "reject"): "95556b53c2df7877f45dad7a53559d20612da543a58f7b72cf52161344c40d25",
+}
+
+
+@pytest.mark.parametrize("window_fraction, tie_break", list(_THREE_LEVEL_DIGESTS))
+def test_three_level_histogram_digest(three_level_trace, window_fraction, tie_break):
+    # the equality oracle at three levels: a ResultRow drops every L3 count,
+    # so the whole outcome histogram is pinned, each (outcome, count) sorted
+    trace, caps = three_level_trace
+    policy = make_policy(PolicySpec("BiDiFilter", caps, window_fraction=window_fraction,
+                                    tie_break=tie_break))
+    policy.bind_keys(trace.keys)
+    stats = SimStats(3)
+    stats.add_all(map(policy.handle, trace.ids))
+    stats.check()
+    assert stats.writes_at(3) and stats.hits_at(3)
+    histogram = repr(sorted((tuple(outcome), n) for outcome, n in stats.counts.items()))
+    digest = hashlib.sha256(histogram.encode("utf-8")).hexdigest()
+    assert digest == _THREE_LEVEL_DIGESTS[window_fraction, tie_break]
 
 
 # --- 6: window-fraction crossover ---------------------------------------------

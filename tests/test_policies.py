@@ -685,6 +685,9 @@ def test_exclusivity_and_capacity_property():
         PolicySpec("BiDiFilter", (3, 6), window_fraction=0.5, rng_seed=1),
         PolicySpec("BiDiFilter", (3, 6), window_fraction=0.0, tie_break="reject", rng_seed=2),
         PolicySpec("BiDiFilter", (2, 4, 8), rng_seed=3),
+        PolicySpec("BiDiFilter", (2, 3, 4, 6), window_fraction=0.0, tie_break="reject",
+                   rng_seed=6),
+        PolicySpec("BiDiFilter", (2, 3, 4, 6), window_fraction=1.0, rng_seed=7),
         PolicySpec("BiDiFilterUnited", (3, 6), rng_seed=4),
         PolicySpec("Demote", (3, 6)),
         PolicySpec("NaiveLRU", (3, 6)),
