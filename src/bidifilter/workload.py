@@ -19,7 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -59,10 +59,10 @@ class SyntheticSpec:
             if not (isinstance(value, Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not (math.isfinite(self.skew) and self.skew >= 0.0):
+        if not (isinstance(self.skew, Real) and math.isfinite(self.skew) and self.skew >= 0.0):
             raise ValueError(f"skew must be finite and >= 0, got {self.skew!r}")
-        if not 0.0 <= self.recency <= 1.0:
-            raise ValueError("recency must be in [0, 1]")
+        if not (isinstance(self.recency, Real) and 0.0 <= self.recency <= 1.0):
+            raise ValueError(f"recency must be a number in [0, 1], got {self.recency!r}")
 
 
 def zipf_cumulative(ground_set: int, skew: float) -> np.ndarray:

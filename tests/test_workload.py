@@ -44,6 +44,11 @@ def test_spec_validation():
     ]:
         with pytest.raises(ValueError):
             SyntheticSpec(**{**good, field: bad})
+    # a non-numeric skew or recency is refused by name, not with a TypeError
+    for field in ("skew", "recency"):
+        for bad in ("0.5", None):
+            with pytest.raises(ValueError, match=field):
+                SyntheticSpec(**{**good, field: bad})
     # the seed is an integer >= 0, checked before the first draw
     for bad in (1.5, "3", None, -1):
         with pytest.raises(ValueError, match="rng_seed"):
