@@ -30,9 +30,6 @@ from .workload import (
     zipf_cumulative,
 )
 
-_NO_VICTIM = object()  # no victim: None is a key like any other
-
-
 def exact_counts(keys: Iterable) -> Counter:
     """True occurrence count of every key, by plain counting."""
     counts = Counter()
@@ -193,12 +190,13 @@ def reference_filter_outcomes(
             outcomes.append((f"hit_l{level}", tuple(writes)))
             continue
         if window[0] > 0:
-            out = victim(window) if full(window) else _NO_VICTIM
-            if out is not _NO_VICTIM:
+            evicted = full(window)
+            if evicted:
+                out = victim(window)
                 remove(window, out)
             insert(window, key)
             writes.append((1, 1))
-            if out is not _NO_VICTIM:
+            if evicted:
                 admit_down(out, 2, writes)
         elif not full(veterans):
             insert(veterans, key)
@@ -249,10 +247,12 @@ def reference_chain_outcomes(
         # insert at L1; each overflow victim moves one level down if the
         # demotion draw lets it, else it leaves the cache
         for n, (level, cap) in enumerate(zip(levels, level_capacities), start=1):
-            out = level.pop(0) if len(level) >= cap else _NO_VICTIM
+            evicted = len(level) >= cap
+            if evicted:
+                out = level.pop(0)
             level.append(item)
             writes.append((n, 1))
-            if out is _NO_VICTIM or rng.random() >= demote_prob:
+            if not evicted or rng.random() >= demote_prob:
                 return
             item = out
 

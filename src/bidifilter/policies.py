@@ -36,9 +36,9 @@ handling a request returns a table entry without allocating.
 
 Each space also tallies the writes into it (``insert_count``), so the
 accounting can be checked from outside.  ``CascadeFilter.handle``
-tallies the L1 and L2 writes it makes itself; the space methods tally
-the rest of the filtered policy's (filling free L1 room, and every
-level below L2), and ``spaces.lru_cascade`` the baselines'.
+tallies the writes it makes on the spaces' OrderedDicts itself, and
+``spaces.lru_cascade`` the baselines'; a fill through a space's
+``insert`` tallies its own.
 
 Baselines: one unfiltered engine, ``Promote``, chains plain LRU levels
 and moves keys between them by coin flips (promote a deep hit with
@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sketch import FrequencySketch, SketchConfig, mix64
-from .spaces import _NO_VICTIM, LruSpace, SlruSpace, lru_cascade, lru_chain
+from .spaces import LruSpace, SlruSpace, lru_cascade, lru_chain
 
 MISS = "miss"
 HIT_L1_WINDOW = "hit_l1_window"
@@ -224,16 +224,20 @@ class CascadeFilter:
     for i = 2) whose displaced victim demotes into the slot the hit just
     vacated.
 
-    ``handle`` runs the top two levels itself, on the spaces'
-    OrderedDicts: L1 hits, a miss's L1 insert and its L2 step, and an L2
-    hit's promotion.  It adds one to a space's ``insert_count`` for each
-    write it makes there, and fills free room in L1 through
-    ``LruSpace.insert``.  Levels 3..N go through the space methods,
-    which tally their own writes: ``_admit_down`` walks the victim L2
-    displaced down them, and ``_on_deep_hit`` promotes a hit at level 3
-    or deeper.  Every contest is decided by ``_wins``, and every sketch
-    call goes through ``self.sketch``, so stand-ins assigned to it and
-    to ``decision_log`` see each record, estimate and contest.
+    ``handle`` runs every level itself, on the spaces' OrderedDicts, over
+    one chain built at construction: a ``(level, space, probation,
+    protected, capacity)`` entry per level, from the top space L2 hits
+    promote into (plain LRU, so its protected part is an empty dict, as
+    in ``oracles.reference_filter_outcomes``) down to level N.  One loop
+    over levels 2..N finds a deep hit and promotes it into the entry
+    above; another walks a miss's candidate down them.  Only L1 hits
+    and a miss's L1 step are written out apart.  ``handle`` adds one to
+    a space's ``insert_count`` for each write it makes there, and fills
+    free room in L1, or room a promotion finds free, through the
+    space's ``insert``.  Every contest is decided by ``_wins``, and
+    every sketch call goes through ``self.sketch``, so stand-ins
+    assigned to it and to ``decision_log`` see each record, estimate
+    and contest.
 
     Outcomes are interned per engine: a miss writes a run of levels
     from L1 (or from L2, when the missed key itself walks down) to the
@@ -271,15 +275,15 @@ class CascadeFilter:
         self.decision_log = None
         # L2 hits promote into Veterans, or into the window if there are none
         self._top = self.veterans if self.veterans.capacity > 0 else self.window
-        # the hot path reads and writes the top two levels' OrderedDicts
-        # and capacities directly
-        self._l2 = self.mains[0]
+        # the filtered walk's chain, one (level, space, probation, protected,
+        # capacity) entry per level from the top space down to level N; the
+        # top space is plain LRU, an SLRU whose protected part stays empty
+        self._chain = ((1, self._top, self._top._od, {}, self._top.capacity),
+                       *((level, sp, sp._probation, sp._protected, sp.capacity)
+                         for level, sp in enumerate(self.mains, start=2)))
+        self._below = self._chain[1:]  # levels 2..N: deep hits, and a miss's walk
         self._win_od, self._win_cap = self.window._od, self.window.capacity
         self._vet_od, self._vet_cap = self.veterans._od, self.veterans.capacity
-        self._top_od, self._top_cap = self._top._od, self._top.capacity
-        self._l2_prob, self._l2_prot = self._l2._probation, self._l2._protected
-        self._l2_cap = self._l2.capacity
-        self._deeper = tuple(enumerate(self.mains[1:], start=3))
         # interned outcomes: misses indexed by the last level written;
         # deep hits by level - 2, like mains, then (touched, promoted,
         # promoted and swapped)
@@ -306,31 +310,30 @@ class CascadeFilter:
         if key in vet:
             vet.move_to_end(key)
             return _HIT_VETERANS
-        prob, prot = self._l2_prob, self._l2_prot
-        if key in prob or key in prot:
-            # promote into the top space; a displaced victim takes the
-            # slot the hit vacates, a refused hit is touched in L2
-            touched, promoted, swapped = self._deep_hits[0]
-            top = self._top_od
-            if len(top) < self._top_cap:
-                self._l2.remove(key)
-                self._top.insert(key)
-                return promoted
-            for victim in top:  # its LRU key
-                break
-            if not self._wins(key, victim):
-                self._l2.touch(key)
-                return touched
-            del (prob if key in prob else prot)[key]
-            del top[victim]
-            top[key] = None
-            self._top.insert_count += 1
-            prob[victim] = None
-            self._l2.insert_count += 1
-            return swapped
-        for level, space in self._deeper:
-            if key in space:
-                return self._on_deep_hit(key, level)
+        below = self._below
+        for level, space, prob, prot, _ in below:
+            if key in prob or key in prot:
+                # promote into the level above; a displaced victim takes
+                # the slot the hit vacates, a refused hit is touched here
+                _, up, up_prob, up_prot, up_cap = self._chain[level - 2]
+                touched, promoted, swapped = self._deep_hits[level - 2]
+                if len(up_prob) + len(up_prot) < up_cap:
+                    del (prob if key in prob else prot)[key]
+                    up.insert(key)
+                    return promoted
+                evict = up_prob or up_prot
+                for victim in evict:  # its LRU key
+                    break
+                if not self._wins(key, victim):
+                    space.touch(key)
+                    return touched
+                del (prob if key in prob else prot)[key]
+                del evict[victim]
+                up_prob[key] = None
+                up.insert_count += 1
+                prob[victim] = None
+                space.insert_count += 1
+                return swapped
         # a miss enters the window, or without one contests Veterans
         if self._win_cap:
             if len(win) < self._win_cap:
@@ -355,24 +358,24 @@ class CascadeFilter:
                 candidate, misses, contested = victim, self._misses_from_l1, False
             else:
                 candidate, misses, contested = key, self._misses_from_l2, True
-        # the L2 step: the candidate fills free room, or evicts L2's
-        # victim if it wins (or needs no contest); that victim walks on
-        # down levels 3..N, and at the bottom leaves the cache
-        if len(prob) + len(prot) < self._l2_cap:
+        # the candidate walks down levels 2..N: it fills free room, or
+        # evicts the level's victim if it wins (or needs no contest), and
+        # that victim walks on; a loser, or the bottom's victim, leaves
+        for level, space, prob, prot, cap in below:
+            if len(prob) + len(prot) < cap:
+                prob[candidate] = None
+                space.insert_count += 1
+                return misses[level]
+            evict = prob or prot
+            for victim in evict:  # probation's LRU key, or protected's if it is empty
+                break
+            if contested and not self._wins(candidate, victim):
+                return misses[level - 1]
+            del evict[victim]
             prob[candidate] = None
-            self._l2.insert_count += 1
-            return misses[2]
-        lru = prob or prot
-        for victim in lru:  # probation's LRU key, or protected's if it is empty
-            break
-        if contested and not self._wins(candidate, victim):
-            return misses[1]
-        del lru[victim]
-        prob[candidate] = None
-        self._l2.insert_count += 1
-        if self._deeper:
-            return misses[self._admit_down(victim)]
-        return misses[2]
+            space.insert_count += 1
+            candidate, contested = victim, True
+        return misses[self.n_levels]
 
     def _wins(self, candidate, victim) -> bool:
         ce = self.sketch.estimate(candidate)
@@ -381,38 +384,6 @@ class CascadeFilter:
         if self.decision_log is not None:
             self.decision_log.append((candidate, victim, ce, ve, admitted))
         return admitted
-
-    def _admit_down(self, candidate) -> int:
-        # a victim L2 displaced walks down levels 3..N, each hop filtered:
-        # a winner's displaced victim walks on, a rejected candidate
-        # leaves the cache.  Returns the last level written, 2 if none
-        # below L2 was.
-        for level, space in self._deeper:
-            victim = space.victim_if_full()
-            if victim is not _NO_VICTIM and not self._wins(candidate, victim):
-                return level - 1
-            candidate = space.push(candidate)
-            if candidate is _NO_VICTIM:
-                return level
-        return self.n_levels
-
-    def _on_deep_hit(self, key, level: int) -> AccessOutcome:
-        # a hit at level 3 or deeper: the filtered promotion handle runs
-        # inline for an L2 hit, here through the space methods
-        src, target = self.mains[level - 2], self.mains[level - 3]
-        touched, promoted, swapped = self._deep_hits[level - 2]
-        victim = target.victim_if_full()
-        if victim is _NO_VICTIM:
-            src.remove(key)
-            target.insert(key)
-            return promoted
-        if self._wins(key, victim):
-            src.remove(key)
-            target.push(key)
-            src.push(victim)  # into the slot the promotion freed
-            return swapped
-        src.touch(key)
-        return touched
 
     def check_invariants(self) -> None:
         _check_exclusive((self.window, self.veterans, *self.mains))

@@ -1,20 +1,21 @@
 """Bookkeeping for the cache spaces policies are built from.
 
-Spaces track membership and eviction order.  ``push`` inserts a key and,
-in a full space, evicts and returns the victim; ``victim_if_full`` names
-it beforehand.  Both return ``_NO_VICTIM`` for no victim (``None`` is a
-key like any other).  ``lru_cascade`` inserts at the top of a chain of
-LRU spaces and carries each overflow victim down it in one call.
+Spaces keep state: membership, eviction order and a tally of the writes
+into them (``insert_count``).  ``insert`` fills free room and refuses a
+full space or a key already present; ``touch`` refreshes a key.
+Eviction is the engines' business, on the spaces' OrderedDicts:
+``lru_cascade`` inserts at the top of a chain of LRU spaces and carries
+each overflow victim down it in one call, and the filtered policy walks
+its own chain of levels.
 
 Who writes each level, and tallies the write in ``insert_count``:
 
 * the unfiltered policies write every level through ``lru_cascade``,
   which tallies each write itself;
-* the filtered policy's ``handle`` writes L1 and L2 on the spaces'
+* the filtered policy's ``handle`` evicts and writes on the spaces'
   OrderedDicts and adds one to ``insert_count`` per write itself, but
-  fills free room in L1 through ``insert``;
-* below L2 the filtered policy writes through ``push`` and ``insert``,
-  which tally their own.
+  fills free room left by a promotion, and free room in L1, through
+  ``insert``.
 
 So ``insert_count`` counts every write, and write accounting can be
 cross-checked from the outside.
@@ -28,8 +29,6 @@ from numbers import Integral
 
 PROTECTED_FRACTION = 0.8  # share of an SlruSpace's capacity that is protected
 
-_NO_VICTIM = object()  # no eviction happened, or none would
-
 
 def _check_capacity(capacity) -> int:
     """The capacity as a Python int: an integer >= 0, numpy ints included."""
@@ -38,15 +37,7 @@ def _check_capacity(capacity) -> int:
     return int(capacity)
 
 
-class _Space:
-    def insert(self, key) -> None:
-        """Insert into free room: a full space refuses, where push evicts."""
-        if self.victim_if_full() is not _NO_VICTIM:
-            raise ValueError("space is full; push evicts, insert does not")
-        self.push(key)
-
-
-class LruSpace(_Space):
+class LruSpace:
     """Plain LRU order over hashable keys. Victim is the least recent."""
 
     def __init__(self, capacity: int):
@@ -64,37 +55,24 @@ class LruSpace(_Space):
         """Keys from least to most recently used."""
         return iter(self._od)
 
-    def push(self, key):
-        """Insert at MRU, first evicting and returning the LRU key if full."""
+    def insert(self, key) -> None:
+        """Insert at MRU into free room; a full space or a present key is refused."""
         od = self._od
         if key in od:
             raise ValueError(f"key already present: {key!r}")
-        victim = _NO_VICTIM
         if len(od) >= self.capacity:
-            if not self.capacity:
-                raise ValueError("cannot push into a space of capacity 0")
-            victim = od.popitem(last=False)[0]
+            raise ValueError("space is full")
         od[key] = None
         self.insert_count += 1
-        return victim
 
     def touch(self, key) -> None:
         self._od.move_to_end(key)  # KeyError if absent, as documented
-
-    def remove(self, key) -> None:
-        del self._od[key]
-
-    def victim_if_full(self):
-        """The key ``push`` would evict now, or _NO_VICTIM. Does not mutate."""
-        if len(self._od) < self.capacity:
-            return _NO_VICTIM
-        return next(iter(self._od), _NO_VICTIM)
 
     def check(self) -> None:
         assert len(self._od) <= self.capacity
 
 
-class SlruSpace(_Space):
+class SlruSpace:
     """Segmented LRU: new keys enter probation, hits move them to protected.
 
     The protected segment is bounded by ceil(PROTECTED_FRACTION * capacity);
@@ -121,43 +99,27 @@ class SlruSpace(_Space):
         yield from self._probation
         yield from self._protected
 
-    def push(self, key):
-        """Insert into probation MRU, first evicting and returning the victim if full."""
+    def insert(self, key) -> None:
+        """Insert at probation MRU into free room; a full space or a present
+        key is refused."""
         probation, protected = self._probation, self._protected
         if key in probation or key in protected:
             raise ValueError(f"key already present: {key!r}")
-        victim = _NO_VICTIM
         if len(probation) + len(protected) >= self.capacity:
-            if not self.capacity:
-                raise ValueError("cannot push into a space of capacity 0")
-            victim = (probation or protected).popitem(last=False)[0]
+            raise ValueError("space is full")
         probation[key] = None
         self.insert_count += 1
-        return victim
 
     def touch(self, key) -> None:
-        if key in self._protected:
-            self._protected.move_to_end(key)
+        protected = self._protected
+        if key in protected:
+            protected.move_to_end(key)
             return
         # probation hit promotes into protected, demoting its LRU if needed
         del self._probation[key]  # KeyError if absent, as documented
-        self._protected[key] = None
-        if len(self._protected) > self.protected_capacity:
-            demoted = next(iter(self._protected))
-            del self._protected[demoted]
-            self._probation[demoted] = None
-
-    def remove(self, key) -> None:
-        if key in self._probation:
-            del self._probation[key]
-        else:
-            del self._protected[key]
-
-    def victim_if_full(self):
-        """The key ``push`` would evict now, or _NO_VICTIM. Does not mutate."""
-        if len(self._probation) + len(self._protected) < self.capacity:
-            return _NO_VICTIM
-        return next(iter(self._probation or self._protected), _NO_VICTIM)
+        protected[key] = None
+        if len(protected) > self.protected_capacity:
+            self._probation[protected.popitem(False)[0]] = None
 
     def check(self) -> None:
         assert len(self) <= self.capacity
@@ -182,7 +144,7 @@ def lru_cascade(chain, key, coin, demote_prob) -> int:
     each written level's ``insert_count``; returns the last level written.
 
     Every level holds at least one key, so the key popped after an
-    insert is the victim ``push`` would have evicted before it.
+    insert is the LRU key the level held before it.
     """
     for level, space, od, capacity in chain:
         od[key] = None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bidifilter import LruSpace, SlruSpace
-from bidifilter.spaces import _NO_VICTIM, lru_cascade, lru_chain
+from bidifilter.spaces import lru_cascade, lru_chain
 
 
 def test_lru_insert_order():
@@ -22,19 +22,6 @@ def test_lru_touch_moves_to_mru():
         sp.insert(k)
     sp.touch("a")
     assert list(sp.keys()) == ["b", "c", "a"]
-    assert sp.victim_if_full() == "b"
-
-
-def test_lru_peek_victim():
-    sp = LruSpace(3)
-    assert sp.victim_if_full() is _NO_VICTIM
-    for k in "abc":
-        sp.insert(k)
-        assert (sp.victim_if_full() is _NO_VICTIM) == (k != "c")  # only when full
-    assert sp.victim_if_full() == "a"
-    assert list(sp.keys()) == ["a", "b", "c"]  # peek does not mutate
-    assert sp.push("d") == "a"  # push evicts the peeked victim
-    assert list(sp.keys()) == ["b", "c", "d"]
 
 
 def test_lru_errors():
@@ -44,13 +31,9 @@ def test_lru_errors():
         sp.insert("a")  # duplicate
     with pytest.raises(ValueError):
         sp.insert("b")  # over capacity
-    with pytest.raises(ValueError):
-        sp.push("a")  # duplicate, even when full
     assert list(sp.keys()) == ["a"] and sp.insert_count == 1
     with pytest.raises(KeyError):
         sp.touch("zzz")
-    with pytest.raises(KeyError):
-        sp.remove("zzz")
 
 
 @pytest.mark.parametrize("space", [LruSpace, SlruSpace])
@@ -62,34 +45,27 @@ def test_capacity_must_be_an_integer(space):
         sp = space(good)
         assert sp.capacity == int(good) and type(sp.capacity) is int
     sp = space(np.int32(2))
-    for k in "abc":
-        sp.push(k)
-    assert list(sp.keys()) == ["b", "c"]
-
-
-def test_remove_last_element():
-    sp = LruSpace(2)
-    sp.insert("a")
-    sp.remove("a")
-    assert len(sp) == 0
-    assert sp.victim_if_full() is _NO_VICTIM
+    for k in "ab":
+        sp.insert(k)
+    with pytest.raises(ValueError):
+        sp.insert("c")  # the capacity, read as an int, is reached
+    assert list(sp.keys()) == ["a", "b"]
 
 
 def test_insert_count_instrumentation():
-    sp = LruSpace(5)
-    for k in range(5):
-        sp.insert(k)
-    sp.touch(0)
-    sp.remove(1)
-    sp.insert(9)
-    assert sp.insert_count == 6
-    assert sp.push(10) == 2  # an evicting push counts too
-    assert sp.push(11) == 3
-    assert sp.insert_count == 8
+    for space_cls in (LruSpace, SlruSpace):
+        sp = space_cls(5)
+        for k in range(5):
+            sp.insert(k)
+        sp.touch(0)  # a recency update is free
+        for refused in (0, 9):  # present, then full
+            with pytest.raises(ValueError):
+                sp.insert(refused)
+        assert sp.insert_count == 5
 
 
 def test_size_deltas():
-    # touch keeps size; insert +1; remove -1
+    # touch keeps size; insert +1; a refused insert keeps it
     sp = SlruSpace(4)
     sp.insert("a")
     n = len(sp)
@@ -97,8 +73,9 @@ def test_size_deltas():
     assert len(sp) == n
     sp.insert("b")
     assert len(sp) == n + 1
-    sp.remove("a")
-    assert len(sp) == n
+    with pytest.raises(ValueError):
+        sp.insert("a")
+    assert len(sp) == n + 1
 
 
 def test_slru_insert_goes_to_probation():
@@ -131,18 +108,18 @@ def test_slru_protected_overflow_demotes_to_probation_mru():
 
 
 def test_slru_victim_prefers_probation():
+    # keys() lists the eviction order the engine reads: probation's LRU
+    # first, protected's LRU once probation is empty
     sp = SlruSpace(4)
     for k in "abcd":
         sp.insert(k)
     sp.touch("a")
     sp.touch("b")
-    assert sp.victim_if_full() == "c"  # probation LRU, not protected's a
+    assert list(sp.keys()) == ["c", "d", "a", "b"]  # c, not protected's a
     sp.touch("c")
     sp.touch("d")
     assert not sp._probation and len(sp._protected) == 4
-    assert sp.victim_if_full() == "a"  # probation empty: protected LRU
-    assert sp.push("e") == "a"
-    assert list(sp.keys()) == ["e", "b", "c", "d"]
+    assert list(sp.keys()) == ["a", "b", "c", "d"]  # probation empty: a
     sp.check()
 
 
@@ -155,22 +132,25 @@ def test_slru_errors_and_quota():
     with pytest.raises(ValueError):
         sp.insert("a")
     sp.touch("b")
-    with pytest.raises(ValueError):
-        sp.push("b")  # duplicate in protected
-    with pytest.raises(ValueError):
-        sp.push("a")  # duplicate in probation
     assert list(sp.keys()) == ["a", "b"] and sp.insert_count == 2
     with pytest.raises(KeyError):
         sp.touch("nope")
     assert sp.protected_capacity == 2  # ceil(0.8*2)
+    roomy = SlruSpace(3)
+    roomy.insert("a")
+    roomy.touch("a")
+    with pytest.raises(ValueError):
+        roomy.insert("a")  # duplicate in protected, with room to spare
+    assert list(roomy.keys()) == ["a"] and roomy.insert_count == 1
 
 
 def _drive_lru(space, key):
-    # the standard caller contract: hit touches, miss pushes
+    # the standard caller contract: a hit touches, a miss is inserted by a
+    # one-level cascade, which evicts the LRU key of a full space
     if key in space:
         space.touch(key)
     else:
-        space.push(key)
+        lru_cascade(lru_chain([space]), key, itertools.repeat(0.5).__next__, 1.0)
 
 
 def test_lru_inclusion_property():
@@ -186,31 +166,11 @@ def test_lru_inclusion_property():
             assert set(small.keys()) <= set(big.keys())
 
 
-def test_peek_then_remove_equals_destructive_pop():
-    rnd = random.Random(14)
-    for space_cls in (LruSpace, SlruSpace):
-        sp = space_cls(6)
-        for _ in range(500):
-            k = rnd.randint(0, 15)
-            _drive_lru(sp, k)
-            victim = sp.victim_if_full()
-            if victim is not _NO_VICTIM and rnd.random() < 0.2:
-                n = len(sp)
-                sp.remove(victim)
-                assert victim not in sp
-                assert len(sp) == n - 1
-        if isinstance(sp, SlruSpace):
-            sp.check()
-
-
 def test_capacity_zero_space():
     for space_cls in (LruSpace, SlruSpace):
         sp = space_cls(0)
-        assert sp.victim_if_full() is _NO_VICTIM
         with pytest.raises(ValueError):
             sp.insert("a")
-        with pytest.raises(ValueError):
-            sp.push("a")  # not a KeyError from an empty eviction
         assert len(sp) == 0 and sp.insert_count == 0
 
 
@@ -226,18 +186,9 @@ class _ListSlru:
     def keys(self):
         return self.probation + self.protected
 
-    def victim_if_full(self):
-        if len(self.keys()) < self.capacity or not self.keys():
-            return _NO_VICTIM
-        return self.keys()[0]
-
-    def push(self, key):
-        victim = self.victim_if_full()
-        if victim is not _NO_VICTIM:
-            (self.probation if self.probation else self.protected).pop(0)
+    def insert(self, key):
         self.probation.append(key)
         self.insert_count += 1
-        return victim
 
     def touch(self, key):
         if not self.protected_capacity:
@@ -249,13 +200,11 @@ class _ListSlru:
         if len(self.protected) > self.protected_capacity:
             self.probation.append(self.protected.pop(0))
 
-    def remove(self, key):
-        (self.protected if key in self.protected else self.probation).remove(key)
 
-
-def test_push_and_victim_if_full_match_list_model():
-    # random pushes, touches and removals on both space classes; after
-    # every step the return values, the order and the insert count agree
+def test_insert_and_touch_match_list_model():
+    # random inserts and touches on both space classes; an insert into a
+    # full space, or of a present key, is refused and changes nothing;
+    # after every step the order and the insert count agree
     rnd = random.Random(15)
     for trial in range(60):
         capacity = rnd.randint(1, 7)
@@ -263,21 +212,19 @@ def test_push_and_victim_if_full_match_list_model():
         model = _ListSlru(capacity, getattr(sp, "protected_capacity", 0))
         for _ in range(300):
             key = rnd.choice((None, *range(12)))
-            op = rnd.random()
-            if key not in model.keys():
-                assert sp.push(key) == model.push(key)
-            elif op < 0.6:
+            present = key in model.keys()
+            if present and rnd.random() < 0.8:
                 sp.touch(key)
                 model.touch(key)
-            elif op < 0.8:
-                sp.remove(key)
-                model.remove(key)
-            else:
+            elif present or len(model.keys()) == capacity:
                 with pytest.raises(ValueError):
-                    sp.push(key)
-            assert sp.victim_if_full() == model.victim_if_full()
+                    sp.insert(key)
+            else:
+                sp.insert(key)
+                model.insert(key)
             assert list(sp.keys()) == model.keys(), trial
             assert sp.insert_count == model.insert_count
+            assert (key in sp) == (key in model.keys())
             sp.check()
 
 
