@@ -273,12 +273,10 @@ class CascadeFilter:
         # (candidate, victim, candidate_est, victim_est, admitted); after
         # bind_keys, candidate and victim are dense key ids, not keys
         self.decision_log = None
-        # L2 hits promote into Veterans, or into the window if there are none
-        self._top = self.veterans if self.veterans.capacity > 0 else self.window
-        # the filtered walk's chain, one (level, space, probation, protected,
-        # capacity) entry per level from the top space down to level N; the
-        # top space is plain LRU, an SLRU whose protected part stays empty
-        self._chain = ((1, self._top, self._top._od, {}, self._top.capacity),
+        # L2 hits promote into Veterans, or into the window if there are
+        # none: plain LRU, an SLRU whose protected part stays empty
+        top = self.veterans if self.veterans.capacity > 0 else self.window
+        self._chain = ((1, top, top._od, {}, top.capacity),
                        *((level, sp, sp._probation, sp._protected, sp.capacity)
                          for level, sp in enumerate(self.mains, start=2)))
         self._below = self._chain[1:]  # levels 2..N: deep hits, and a miss's walk

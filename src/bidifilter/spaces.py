@@ -111,15 +111,16 @@ class SlruSpace:
         self.insert_count += 1
 
     def touch(self, key) -> None:
-        protected = self._protected
-        if key in protected:
-            protected.move_to_end(key)
+        if key in self._protected:
+            self._protected.move_to_end(key)
             return
         # probation hit promotes into protected, demoting its LRU if needed
         del self._probation[key]  # KeyError if absent, as documented
-        protected[key] = None
-        if len(protected) > self.protected_capacity:
-            self._probation[protected.popitem(False)[0]] = None
+        self._protected[key] = None
+        if len(self._protected) > self.protected_capacity:
+            demoted = next(iter(self._protected))
+            del self._protected[demoted]
+            self._probation[demoted] = None
 
     def check(self) -> None:
         assert len(self) <= self.capacity
