@@ -32,7 +32,7 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -260,10 +260,12 @@ class SweepSpec:
             raise ValueError("need at least one policy")
         if not self.l2_size_percents or not self.l1_ratios:
             raise ValueError("need at least one geometry point")
-        if any(not 0.0 < p <= 1.0 for p in self.l2_size_percents):
-            raise ValueError("l2_size_percents must be in (0, 1]")
-        if any(not 0.0 < r < 1.0 for r in self.l1_ratios):
-            raise ValueError("l1_ratios must be in (0, 1)")
+        if any(not (isinstance(p, Real) and 0.0 < p <= 1.0) for p in self.l2_size_percents):
+            raise ValueError(
+                f"l2_size_percents must be numbers in (0, 1], got {self.l2_size_percents!r}"
+            )
+        if any(not (isinstance(r, Real) and 0.0 < r < 1.0) for r in self.l1_ratios):
+            raise ValueError(f"l1_ratios must be numbers in (0, 1), got {self.l1_ratios!r}")
         if not (isinstance(self.n_levels, Integral) and self.n_levels >= 2):
             raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels!r}")
         object.__setattr__(self, "n_levels", int(self.n_levels))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Real
 
 from .policies import HIT_L1_VETERANS, HIT_L1_WINDOW, MISS, AccessOutcome, hit_at_level
 
@@ -29,6 +30,10 @@ class LatencyParams:
         object.__setattr__(self, "level_ns", tuple(self.level_ns))
         if not self.level_ns:
             raise ValueError("need at least one level latency")
+        if not all(isinstance(t, Real) for t in self.level_ns):
+            raise ValueError(f"level_ns must be numbers, got {self.level_ns!r}")
+        if not isinstance(self.miss_ns, Real):
+            raise ValueError(f"miss_ns must be a number, got {self.miss_ns!r}")
         times = (*self.level_ns, self.miss_ns)
         if not all(math.isfinite(t) and t > 0 for t in times):
             raise ValueError(f"latencies must be finite and positive, got {times}")

@@ -6,15 +6,20 @@ the whole history.  Estimates never undercount within a sample window;
 hash collisions can only inflate them.
 
 Counts are stored unsaturated and capped wherever they are read, so a
-record is one plain increment per row.  Capping on read gives the same
-observable state as saturating on write, since ``min(min(u, cap) + 1,
-cap) == min(u + 1, cap)`` for any count ``u``, and halving caps before
-it shifts.
+record is at most one plain increment per row.  Capping on read gives
+the same observable state as saturating on write, since ``min(min(u,
+cap) + 1, cap) == min(u + 1, cap)`` for any count ``u``, and halving
+caps before it shifts.
 
 There is one way to count and one way to read: the scalar ``record``
 and ``estimate``.  A replay binds its distinct keys first
 (``FrequencySketch.bind_keys``), which hashes them in one batch, and
-then passes key ids to those same two calls.
+then passes key ids to those same two calls.  A bound key also keeps a
+countdown of the records it still needs before every counter it owns is
+known to be at the cap.  At zero, ``record`` skips the rows and
+``estimate`` returns the cap: between halvings counters only grow, each
+record of the key adds one to all of its counters, and every read caps,
+so no read can tell a skipped increment from a made one.
 """
 
 from __future__ import annotations
@@ -129,6 +134,16 @@ class FrequencySketch:
     equal keys (``harness.compile_trace``), so the sketch counts them as
     the one key the cache treats them as.  The table lives as long as
     the sketch; halving ages the counters and leaves it alone.
+
+    Each bound key also has a countdown, set to the cap by ``bind_keys``
+    and by every ``halve``.  A record of the key with its countdown above
+    zero decrements it and increments the rows; once it is zero, all of
+    the key's counters are at least the cap (each of those records added
+    one to every one of them, and nothing but halving lowers a counter),
+    so ``record`` leaves the rows alone and ``estimate`` returns the cap
+    without reading them.  Every read caps, so the skipped increments
+    change no estimate, no ``counters`` snapshot and no halving.
+    ``increments_since_reset`` still counts every record.
     """
 
     def __init__(self, config: SketchConfig, seed: int = 0):
@@ -147,6 +162,7 @@ class FrequencySketch:
             (r * self._width, mix64(_GOLDEN * (r + 1)) | 1) for r in range(self._depth)
         )
         self._slot_rows = None  # per row, the counter index of each bound key
+        self._left = None  # per bound key, records until its counters are all at the cap
         self.increments_since_reset = 0
 
     # -- hashing ---------------------------------------------------------
@@ -191,7 +207,8 @@ class FrequencySketch:
         ``estimate`` take an index into ``keys`` in place of a key.
 
         The table holds one array of counter indexes per row, so a bound
-        key costs ``depth`` machine words.  A list whose first key is an
+        key costs ``depth`` machine words, plus a list slot for its
+        countdown, which starts at the cap.  A list whose first key is an
         int, Python or numpy, and that numpy reads as one signed or
         unsigned integer array is hashed in one vectorized pass.  A list
         of exact ``str`` keys is hashed one digest per key, from copies of
@@ -218,17 +235,23 @@ class FrequencySketch:
             array("q", (off + self._indexes_many(bases, mult)).astype(np.int64).tobytes())
             for off, mult in self._rows
         )
+        self._left = [self._cap] * len(keys)
 
     def record(self, key) -> None:
         """Count one occurrence of ``key``; ages the sketch every W records."""
-        tbl = self._table
         rows = self._slot_rows
         if rows is None:
+            tbl = self._table
             for i in self._slots(key):
                 tbl[i] += 1
         else:
-            for row in rows:
-                tbl[row[key]] += 1
+            left = self._left
+            n = left[key]
+            if n:
+                left[key] = n - 1
+                tbl = self._table
+                for row in rows:
+                    tbl[row[key]] += 1
         self.increments_since_reset += 1
         if self.increments_since_reset >= self._sample_size:
             self.halve()
@@ -244,7 +267,7 @@ class FrequencySketch:
                 c = tbl[i]
                 if c < best:
                     best = c
-        else:
+        elif self._left[key]:
             for row in rows:
                 c = tbl[row[key]]
                 if c < best:
@@ -255,6 +278,8 @@ class FrequencySketch:
         """Age every counter: cap it, then floor-divide by two."""
         cap = self._cap
         self._table = [(c if c < cap else cap) >> 1 for c in self._table]
+        if self._left is not None:
+            self._left = [cap] * len(self._left)
 
     @property
     def counters(self) -> np.ndarray:

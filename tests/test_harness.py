@@ -130,6 +130,13 @@ def test_sweep_spec_validation():
     for bad in (1.5, "3", None):
         with pytest.raises(ValueError, match="master_seed"):
             SweepSpec(SMALL, pols, (0.1,), (0.2,), master_seed=bad)
+    for bad in ("0.5", None, [0.5]):
+        with pytest.raises(ValueError, match="l2_size_percents"):
+            SweepSpec(SMALL, pols, (bad,), (0.1,))
+        with pytest.raises(ValueError, match="l1_ratios"):
+            SweepSpec(SMALL, pols, (0.5,), (0.1, bad))
+    spec = SweepSpec(SMALL, pols, (np.float64(0.5), 1), (np.float32(0.25),))
+    assert spec.l2_size_percents == (0.5, 1)
 
 
 def test_latency_errors_say_what_to_pass():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bidifilter import (
@@ -36,6 +37,12 @@ def test_latency_params_validation():
         LatencyParams((0.0, 5.0), 2.0)
     with pytest.raises(ValueError):
         LatencyParams((1.0, 5.0), 0.0)
+    for bad in ("100", None, b"1"):
+        with pytest.raises(ValueError, match="level_ns"):
+            LatencyParams(level_ns=(bad, 200.0))
+        with pytest.raises(ValueError, match="miss_ns"):
+            LatencyParams(miss_ns=bad)
+    assert LatencyParams((np.float32(2.0), 5), np.int64(7)).miss_ns == 7
     assert FAST_MISS_LATENCY.level_ns == (2.0, 200_000.0)
     assert FAST_MISS_LATENCY.miss_ns == 100.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bidifilter import FrequencySketch, SketchConfig
+from bidifilter.harness import compile_trace
 from bidifilter.oracles import exact_counts, reference_sketch_counters
 
 
@@ -249,24 +250,67 @@ def _stream(kind, rnd, n):
 
 @pytest.mark.parametrize("kind", ["int", "str", "np.int64", "mixed"])
 def test_scalar_ops_match_reference_after_every_record(kind):
+    # each trial drives a bare sketch by key and a bound twin by key id;
+    # most records fall on a few hot keys, so keys reach the cap between
+    # halvings and the bound twin skips the records it can skip
     rnd = random.Random(kind)  # str seeds are not salted
+    at_cap = 0
     for trial in range(12):
+        tracked = rnd.randint(1, 8)
         cfg = SketchConfig(
-            sample_size=rnd.randint(5, 40),
-            tracked_capacity=rnd.randint(1, 8),
+            sample_size=rnd.randint(5, 40) if trial % 3 else tracked,  # else cap 1
+            tracked_capacity=tracked,
             depth=1 + trial % 4,
             width=rnd.choice([8, 16, 32, 64]),
         )
-        keys = _stream(kind, rnd, 300)
+        hot = _stream(kind, rnd, rnd.randint(1, 3))
+        keys = [rnd.choice(hot) if rnd.random() < 0.7 else key for key in _stream(kind, rnd, 300)]
         assert len(keys) // cfg.sample_size >= 5  # several halvings
         sk = FrequencySketch(cfg, seed=trial)
         expected = reference_sketch_counters(keys, cfg, seed=trial)
-        for step, (key, (counters, estimate)) in enumerate(zip(keys, expected)):
+        trace = compile_trace(keys)
+        bound = FrequencySketch(cfg, seed=trial)
+        bound.bind_keys(trace.keys)
+        # the bound twin counts equal keys as the first of them seen
+        bound_expected = reference_sketch_counters(
+            [trace.keys[i] for i in trace.ids], cfg, seed=trial
+        )
+        since_halving = {}
+        for step, (key, i, (counters, estimate), (bound_counters, bound_estimate)) in enumerate(
+            zip(keys, trace.ids, expected, bound_expected)
+        ):
             if rnd.random() < 0.5:
                 sk.estimate(key)  # first sight through estimate, not record
+                bound.estimate(i)
+            at_cap += since_halving.get(i, 0) >= cfg.counter_cap
+            since_halving[i] = since_halving.get(i, 0) + 1
+            if (step + 1) % cfg.sample_size == 0:
+                since_halving.clear()
             sk.record(key)
+            bound.record(i)
             assert sk.counters.tolist() == [list(row) for row in counters], (trial, step)
             assert sk.estimate(key) == estimate, (trial, step, key)
+            assert bound.counters.tolist() == [list(row) for row in bound_counters], (trial, step)
+            assert bound.estimate(i) == bound_estimate, (trial, step, key)
+    assert at_cap >= 12 * 300 // 5  # records on keys already at the cap
+
+
+@pytest.mark.parametrize("sample_size, tracked", [(160, 16), (7, 2), (9, 2), (2000, 2)])
+def test_bound_key_counts_again_after_halving(sample_size, tracked):
+    # one bound key: no collisions, so its estimate is its capped count;
+    # caps 10, 4, 5 and 1000, each reached well before W records halve
+    cfg = SketchConfig(sample_size=sample_size, tracked_capacity=tracked)
+    cap = cfg.counter_cap
+    sk = FrequencySketch(cfg, seed=3)
+    sk.bind_keys(["only"])
+    for _ in range(cap + 1):
+        sk.record(0)
+    assert sk.estimate(0) == cap and sk.counters.max() == cap
+    sk.halve()
+    assert sk.estimate(0) == cap >> 1
+    sk.record(0)
+    assert sk.estimate(0) == (cap >> 1) + 1
+    assert sk.counters.max() == (cap >> 1) + 1
 
 
 def test_slot_table_matches_scalar_slots():
