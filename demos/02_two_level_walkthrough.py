@@ -19,7 +19,7 @@ for i, key in enumerate(accesses, start=1):
     out = pol.handle(key)
     writes = " ".join(f"L{lvl}+{n}" for lvl, n in out.writes) or "(none)"
     state = (f"{list(pol.window.keys())} / {list(pol.veterans.keys())} "
-             f"/ {list(pol.l2.keys())}")
+             f"/ {list(pol.mains[0].keys())}")
     print(f"{i:>2} {key:>4} {out.classification:<16} {writes:<18} {state}")
 
 print("""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -253,11 +254,19 @@ class SweepSpec:
     n_levels: int = 2
 
     def __post_init__(self):
+        # an int would be opened as a file descriptor
+        if not isinstance(self.trace_source, (SyntheticSpec, str, os.PathLike)):
+            raise ValueError(
+                "trace_source must be a SyntheticSpec, a str or a path, "
+                f"got {self.trace_source!r}"
+            )
         object.__setattr__(self, "policies", tuple(self.policies))
         object.__setattr__(self, "l2_size_percents", tuple(self.l2_size_percents))
         object.__setattr__(self, "l1_ratios", tuple(self.l1_ratios))
         if not self.policies:
             raise ValueError("need at least one policy")
+        if not all(isinstance(p, PolicySpec) for p in self.policies):
+            raise ValueError(f"policies must be PolicySpecs, got {self.policies!r}")
         if not self.l2_size_percents or not self.l1_ratios:
             raise ValueError("need at least one geometry point")
         if any(not (isinstance(p, Real) and 0.0 < p <= 1.0) for p in self.l2_size_percents):

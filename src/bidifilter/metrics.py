@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 from .policies import HIT_L1_VETERANS, HIT_L1_WINDOW, MISS, AccessOutcome, hit_at_level
 
@@ -57,9 +57,9 @@ class SimStats:
     __slots__ = ("n_levels", "counts")
 
     def __init__(self, n_levels: int):
-        if n_levels < 1:
-            raise ValueError("n_levels must be >= 1")
-        self.n_levels = n_levels
+        if not (isinstance(n_levels, Integral) and n_levels >= 1):
+            raise ValueError(f"n_levels must be an integer >= 1, got {n_levels!r}")
+        self.n_levels = int(n_levels)
         self.counts: Counter[AccessOutcome] = Counter()
 
     def add(self, outcome: AccessOutcome) -> None:

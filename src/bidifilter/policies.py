@@ -225,15 +225,15 @@ class CascadeFilter:
     vacated.
 
     ``handle`` runs every level itself, on the spaces' OrderedDicts, over
-    one chain built at construction: a ``(level, space, probation,
-    protected, capacity)`` entry per level, from the top space L2 hits
-    promote into (plain LRU, so its protected part is an empty dict, as
-    in ``oracles.reference_filter_outcomes``) down to level N.  One loop
-    over levels 2..N finds a deep hit and promotes it into the entry
-    above; another walks a miss's candidate down them.  Only L1 hits
-    and a miss's L1 step are written out apart.  ``handle`` adds one to
-    a space's ``insert_count`` for each write it makes there, and fills
-    free room in L1, or room a promotion finds free, through the
+    one ``lru_chain`` built at construction: a ``(level, space,
+    probation, protected, capacity)`` entry per level, from the top
+    space L2 hits promote into (an LruSpace, whose protected part stays
+    empty, as in ``oracles.reference_filter_outcomes``) down to level
+    N.  One loop over levels 2..N finds a deep hit and promotes it into
+    the entry above; another walks a miss's candidate down them.  Only
+    L1 hits and a miss's L1 step are written out apart.  ``handle`` adds
+    one to a space's ``insert_count`` for each write it makes there, and
+    fills free room in L1, or room a promotion finds free, through the
     space's ``insert``.  Every contest is decided by ``_wins``, and
     every sketch call goes through ``self.sketch``, so stand-ins
     assigned to it and to ``decision_log`` see each record, estimate
@@ -274,14 +274,12 @@ class CascadeFilter:
         # bind_keys, candidate and victim are dense key ids, not keys
         self.decision_log = None
         # L2 hits promote into Veterans, or into the window if there are
-        # none: plain LRU, an SLRU whose protected part stays empty
+        # none; either holds at least one key
         top = self.veterans if self.veterans.capacity > 0 else self.window
-        self._chain = ((1, top, top._od, {}, top.capacity),
-                       *((level, sp, sp._probation, sp._protected, sp.capacity)
-                         for level, sp in enumerate(self.mains, start=2)))
+        self._chain = lru_chain((top, *self.mains))
         self._below = self._chain[1:]  # levels 2..N: deep hits, and a miss's walk
-        self._win_od, self._win_cap = self.window._od, self.window.capacity
-        self._vet_od, self._vet_cap = self.veterans._od, self.veterans.capacity
+        self._win_od, self._win_cap = self.window._probation, self.window.capacity
+        self._vet_od, self._vet_cap = self.veterans._probation, self.veterans.capacity
         # interned outcomes: misses indexed by the last level written;
         # deep hits by level - 2, like mains, then (touched, promoted,
         # promoted and swapped)
@@ -442,7 +440,7 @@ class Promote:
         )
         # membership reads, removals and recency updates bypass the space
         # wrappers in the hot loop
-        self._chain = tuple(enumerate(sp._od for sp in self.levels))
+        self._chain = tuple(enumerate(sp._probation for sp in self.levels))
         self._cascade = lru_chain(self.levels)
         self.promote_prob = promote_prob
         self.demote_prob = demote_prob

@@ -1,12 +1,15 @@
 """Bookkeeping for the cache spaces policies are built from.
 
-Spaces keep state: membership, eviction order and a tally of the writes
-into them (``insert_count``).  ``insert`` fills free room and refuses a
-full space or a key already present; ``touch`` refreshes a key.
-Eviction is the engines' business, on the spaces' OrderedDicts:
-``lru_cascade`` inserts at the top of a chain of LRU spaces and carries
-each overflow victim down it in one call, and the filtered policy walks
-its own chain of levels.
+There is one space type, the segmented LRU (``SlruSpace``); a plain LRU
+(``LruSpace``) is one whose protected capacity is 0.  Spaces keep
+state: membership, eviction order and a tally of the writes into them
+(``insert_count``).  ``insert`` fills free room and refuses a full
+space or a key already present; ``touch`` refreshes a key.  Eviction
+is the engines' business, on the spaces' OrderedDicts, which both
+engines reach through one chain format (``lru_chain``):
+``lru_cascade`` inserts at the top of a chain of LRU spaces and
+carries each overflow victim down it in one call, and the filtered
+policy's ``handle`` walks a chain of its top L1 space and SLRU levels.
 
 Who writes each level, and tallies the write in ``insert_count``:
 
@@ -37,41 +40,6 @@ def _check_capacity(capacity) -> int:
     return int(capacity)
 
 
-class LruSpace:
-    """Plain LRU order over hashable keys. Victim is the least recent."""
-
-    def __init__(self, capacity: int):
-        self.capacity = _check_capacity(capacity)
-        self.insert_count = 0
-        self._od: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._od)
-
-    def __contains__(self, key) -> bool:
-        return key in self._od
-
-    def keys(self):
-        """Keys from least to most recently used."""
-        return iter(self._od)
-
-    def insert(self, key) -> None:
-        """Insert at MRU into free room; a full space or a present key is refused."""
-        od = self._od
-        if key in od:
-            raise ValueError(f"key already present: {key!r}")
-        if len(od) >= self.capacity:
-            raise ValueError("space is full")
-        od[key] = None
-        self.insert_count += 1
-
-    def touch(self, key) -> None:
-        self._od.move_to_end(key)  # KeyError if absent, as documented
-
-    def check(self) -> None:
-        assert len(self._od) <= self.capacity
-
-
 class SlruSpace:
     """Segmented LRU: new keys enter probation, hits move them to protected.
 
@@ -81,9 +49,11 @@ class SlruSpace:
     is empty.
     """
 
+    _protected_fraction = PROTECTED_FRACTION
+
     def __init__(self, capacity: int):
         self.capacity = _check_capacity(capacity)
-        self.protected_capacity = math.ceil(PROTECTED_FRACTION * capacity)
+        self.protected_capacity = math.ceil(self._protected_fraction * capacity)
         self.insert_count = 0
         self._probation: OrderedDict = OrderedDict()
         self._protected: OrderedDict = OrderedDict()
@@ -128,10 +98,20 @@ class SlruSpace:
         assert not (self._probation.keys() & self._protected.keys())
 
 
+class LruSpace(SlruSpace):
+    """Plain LRU: an SlruSpace with no protected part, so a touch leaves
+    the key at probation's MRU end.  Victim is the least recent."""
+
+    _protected_fraction = 0
+
+
 def lru_chain(spaces) -> tuple:
-    """The ``(level, space, its OrderedDict, capacity)`` entries, top
-    first, that ``lru_cascade`` walks: one per LruSpace, levels from 1."""
-    chain = tuple((level, sp, sp._od, sp.capacity) for level, sp in enumerate(spaces, start=1))
+    """The ``(level, space, probation, protected, capacity)`` entries, one
+    per space, top first, levels from 1: the chain both engines walk.
+    ``lru_cascade`` walks a chain of LruSpaces, whose protected dicts
+    stay empty."""
+    chain = tuple((level, sp, sp._probation, sp._protected, sp.capacity)
+                  for level, sp in enumerate(spaces, start=1))
     if not all(capacity >= 1 for *_, capacity in chain):
         raise ValueError("every space of a cascade needs room for a key")
     return chain
@@ -147,7 +127,7 @@ def lru_cascade(chain, key, coin, demote_prob) -> int:
     Every level holds at least one key, so the key popped after an
     insert is the LRU key the level held before it.
     """
-    for level, space, od, capacity in chain:
+    for level, space, od, _, capacity in chain:
         od[key] = None
         space.insert_count += 1
         if len(od) <= capacity:

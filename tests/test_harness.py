@@ -8,6 +8,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ def test_sweep_spec_validation():
             SweepSpec(SMALL, pols, (0.5,), (0.1, bad))
     spec = SweepSpec(SMALL, pols, (np.float64(0.5), 1), (np.float32(0.25),))
     assert spec.l2_size_percents == (0.5, 1)
+    # an int trace source would be opened as a file descriptor (0 is
+    # stdin), so it is refused here, before anything is opened
+    for bad in (0, 42, True, np.int64(3), None, b"trace.txt"):
+        with pytest.raises(ValueError, match="trace_source"):
+            SweepSpec(bad, pols, (0.1,), (0.2,))
+    for good in ("trace.txt", Path("trace.txt")):
+        assert SweepSpec(good, pols, (0.1,), (0.2,)).trace_source == good
+    for bad in (("BiDiFilter",), (pols[0], None), [{"kind": "Demote"}]):
+        with pytest.raises(ValueError, match="policies"):
+            SweepSpec(SMALL, bad, (0.1,), (0.2,))
 
 
 def test_latency_errors_say_what_to_pass():

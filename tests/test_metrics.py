@@ -86,8 +86,11 @@ def test_simstats_level_range_errors():
             s.hits_at(bad)
         with pytest.raises(ValueError):
             s.writes_at(bad)
-    with pytest.raises(ValueError):
-        SimStats(0)
+    for bad in (0, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="n_levels"):
+            SimStats(bad)
+    s = SimStats(np.int64(3))
+    assert type(s.n_levels) is int and s.n_levels == 3
 
 
 @pytest.mark.parametrize("outcome", [
@@ -296,7 +299,7 @@ def test_stats_from_real_policy_run():
     s.check()
     assert s.requests == 3000
     assert s.writes_at(1) == pol.window.insert_count + pol.veterans.insert_count
-    assert s.writes_at(2) == pol.l2.insert_count
+    assert s.writes_at(2) == pol.mains[0].insert_count
     assert 0.0 < hit_ratio(s) < 1.0
     r, rw = avg_read_latency(s, LatencyParams()), avg_rw_latency(s, LatencyParams())
     assert rw >= r > 0.0

@@ -155,7 +155,7 @@ def test_bidi_two_level_walkthrough():
     ]
     assert list(pol.window.keys()) == ["c"]
     assert list(pol.veterans.keys()) == ["a"]
-    assert list(pol.l2.keys()) == ["b"]
+    assert list(pol.mains[0].keys()) == ["b"]
 
 
 def test_bidi_tie_break_admit_vs_reject():
@@ -168,7 +168,7 @@ def test_bidi_tie_break_admit_vs_reject():
         pol.handle("b")   # a -> L2 warm
         out = pol.handle("c")  # b is the candidate vs L2 victim a, both est 1
         assert out.classification == MISS
-        assert list(pol.l2.keys()) == expect_l2
+        assert list(pol.mains[0].keys()) == expect_l2
         if tie == "admit":
             assert out.writes == ((1, 1), (2, 1))
         else:
@@ -184,7 +184,7 @@ def test_bidi_promotion_swap_and_refusal():
     pol.handle("v")             # est(v) = 3
     pol.handle("x")             # x loses to v (1 < 3), lands in L2 warm
     assert list(pol.veterans.keys()) == ["v"]
-    assert "x" in pol.l2
+    assert "x" in pol.mains[0]
     out = pol.handle("x")       # L2 hit; est(x)=2 < est(v)=3: stays put
     assert out == AccessOutcome(HIT_L2, ())
     out = pol.handle("x")
@@ -192,7 +192,7 @@ def test_bidi_promotion_swap_and_refusal():
     assert out.classification == HIT_L2
     assert out.writes == ((1, 1), (2, 1))
     assert list(pol.veterans.keys()) == ["x"]
-    assert "v" in pol.l2
+    assert "v" in pol.mains[0]
 
 
 def test_bidi_window_zero_missed_key_is_filtered():
@@ -204,10 +204,10 @@ def test_bidi_window_zero_missed_key_is_filtered():
     pol.handle("a")            # est 2
     out = pol.handle("b")      # loses to a, warm-fills L2
     assert out == AccessOutcome(MISS, ((2, 1),))
-    assert "b" in pol.l2
+    assert "b" in pol.mains[0]
     out = pol.handle("c")      # loses to a, then ties b at L2: rejected
     assert out == AccessOutcome(MISS, ())
-    assert "c" not in pol.l2
+    assert "c" not in pol.mains[0]
 
 
 def test_bidi_window_zero_demotion_bypasses_filter():
@@ -222,14 +222,14 @@ def test_bidi_window_zero_demotion_bypasses_filter():
     pol.handle("y")            # L2 hits; 2 > 3 and 3 > 3 both fail
     pol.handle("y")
     assert list(pol.veterans.keys()) == ["x"]
-    assert list(pol.l2.keys()) == ["y"]
+    assert list(pol.mains[0].keys()) == ["y"]
     for _ in range(3):         # z at est 1..3 loses everywhere, stays out
         out = pol.handle("z")
         assert out == AccessOutcome(MISS, ())
     out = pol.handle("z")      # est 4 > 3: z takes veterans
     assert out == AccessOutcome(MISS, ((1, 1), (2, 1)))
     assert list(pol.veterans.keys()) == ["z"]
-    assert list(pol.l2.keys()) == ["x"]  # y evicted despite the tie
+    assert list(pol.mains[0].keys()) == ["x"]  # y evicted despite the tie
     assert pol.handle("z") == AccessOutcome(HIT_L1_VETERANS)
 
 
@@ -243,7 +243,7 @@ def test_bidi_window_one_promotes_into_window():
     # a promoted into window, displaced b admitted to the freed L2 slot
     assert out.writes == ((1, 1), (2, 1))
     assert list(pol.window.keys()) == ["a"]
-    assert "b" in pol.l2
+    assert "b" in pol.mains[0]
 
 
 def test_bidi_united_single_l1():

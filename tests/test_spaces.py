@@ -166,6 +166,20 @@ def test_lru_inclusion_property():
             assert set(small.keys()) <= set(big.keys())
 
 
+def test_lru_space_is_an_slru_with_no_protected_part():
+    # one set of space methods: LruSpace only sets the protected size to 0
+    assert issubclass(LruSpace, SlruSpace)
+    own = {"__init__", "insert", "touch", "check", "keys", "__len__", "__contains__"}
+    assert not own & vars(LruSpace).keys()
+    sp = LruSpace(5)
+    for k in "abc":
+        sp.insert(k)
+    sp.touch("a")  # promoted and demoted at once: probation's MRU end
+    assert sp.protected_capacity == 0 and not sp._protected
+    assert list(sp._probation) == ["b", "c", "a"]
+    sp.check()
+
+
 def test_capacity_zero_space():
     for space_cls in (LruSpace, SlruSpace):
         sp = space_cls(0)
@@ -209,7 +223,7 @@ def test_insert_and_touch_match_list_model():
     for trial in range(60):
         capacity = rnd.randint(1, 7)
         sp = rnd.choice((LruSpace, SlruSpace))(capacity)
-        model = _ListSlru(capacity, getattr(sp, "protected_capacity", 0))
+        model = _ListSlru(capacity, sp.protected_capacity)
         for _ in range(300):
             key = rnd.choice((None, *range(12)))
             present = key in model.keys()
@@ -265,7 +279,14 @@ def test_lru_cascade_hand_traced():
 
 
 def test_lru_chain_needs_room_in_every_space():
-    top, bottom = LruSpace(1), LruSpace(3)
-    assert lru_chain([top, bottom]) == ((1, top, top._od, 1), (2, bottom, bottom._od, 3))
+    # one entry format for every space: an LruSpace's protected dict is
+    # its own, and stays empty
+    top, bottom = LruSpace(1), SlruSpace(3)
+    chain = lru_chain([top, bottom])
+    assert chain == ((1, top, {}, {}, 1), (2, bottom, {}, {}, 3))
+    for (_, sp, probation, protected, _), want in zip(chain, (top, bottom)):
+        assert sp is want and probation is sp._probation and protected is sp._protected
     with pytest.raises(ValueError):
         lru_chain([LruSpace(1), LruSpace(0)])
+    with pytest.raises(ValueError):
+        lru_chain([LruSpace(1), SlruSpace(0)])
