@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import SweepSpec, run_sweep, write_rows, write_rows_csv, write_rows_jsonl
+from .harness import SweepSpec, run_sweep, write_rows
 from .metrics import LatencyParams
 from .policies import KINDS, TIE_BREAKS, PolicySpec
 from .workload import SyntheticSpec
@@ -122,16 +122,6 @@ def _trace_source(args):
     return args.trace
 
 
-def _emit(rows, args) -> None:
-    if args.out == "-":
-        if args.format == "csv":
-            write_rows_csv(rows, sys.stdout)
-        else:
-            write_rows_jsonl(rows, sys.stdout)
-    else:
-        write_rows(rows, args.out, args.format)
-
-
 def _latency(args) -> LatencyParams:
     latency = _parse_latency(args.latency) if args.latency else LatencyParams()
     covered = len(latency.level_ns)
@@ -160,7 +150,7 @@ def _sweep_spec(args, kinds, l2_size_percents, l1_ratios) -> SweepSpec:
 def _cmd_run(args) -> int:
     # a one-cell sweep: same geometry resolution, seed and checks
     sweep = _sweep_spec(args, (args.policy,), (args.l2_pct,), (args.l1_ratio,))
-    _emit(run_sweep(sweep), args)
+    write_rows(run_sweep(sweep), args.out, args.format)
     return 0
 
 
@@ -169,7 +159,7 @@ def _cmd_sweep(args) -> int:
     sweep = _sweep_spec(
         args, kinds, _parse_floats(args.l2_pct), _parse_floats(args.l1_ratio)
     )
-    _emit(run_sweep(sweep, jobs=args.jobs), args)
+    write_rows(run_sweep(sweep, jobs=args.jobs), args.out, args.format)
     return 0
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -39,7 +40,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .metrics import LatencyParams, SimStats, avg_read_latency, avg_rw_latency, hit_ratio
+from .metrics import (
+    LatencyParams,
+    SimStats,
+    avg_read_latency,
+    avg_rw_latency,
+    check_latency_covers,
+    hit_ratio,
+)
 from .policies import PolicySpec, make_policy
 from .sketch import derive_seed
 from .workload import SyntheticSpec, count_uniques, generate_synthetic, ingest_trace
@@ -113,16 +121,6 @@ def compile_trace(trace: Iterable) -> CompiledTrace:
     return CompiledTrace(ids, list(index))
 
 
-def _check_latency_covers(latency: LatencyParams, n_levels: int, what: str) -> None:
-    """Raise, saying what to pass, unless ``latency`` prices every level."""
-    given = len(latency.level_ns)
-    if given < n_levels:
-        raise ValueError(
-            f"a {n_levels}-level {what} needs {n_levels} level latencies, {given} given; "
-            f"pass latency=LatencyParams(level_ns=(t_l1, ..., t_l{n_levels}), miss_ns=t_miss)"
-        )
-
-
 def run_single(
     policy_spec: PolicySpec,
     trace: Iterable,
@@ -144,7 +142,7 @@ def run_single(
     themselves.
     """
     latency = latency or LatencyParams()
-    _check_latency_covers(latency, policy_spec.n_levels, "policy")
+    check_latency_covers(latency, policy_spec.n_levels, "policy")
     policy = make_policy(policy_spec)
     stats = SimStats(policy.n_levels)
     if policy_spec.kind == "Demote" and isinstance(trace, CompiledTrace):
@@ -281,7 +279,7 @@ class SweepSpec:
         if not isinstance(self.master_seed, Integral):
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        _check_latency_covers(self.latency, self.n_levels, "sweep")
+        check_latency_covers(self.latency, self.n_levels, "sweep")
 
 
 def trace_label(source) -> str:
@@ -390,11 +388,16 @@ def write_rows_jsonl(rows: Sequence[ResultRow], fh) -> None:
         fh.write("\n")
 
 
+_WRITERS = {"csv": write_rows_csv, "jsonl": write_rows_jsonl}
+
+
 def write_rows(rows: Sequence[ResultRow], path, fmt: str = "csv") -> None:
-    if fmt not in ("csv", "jsonl"):
+    """Write rows in ``fmt`` (csv or jsonl) to ``path``, or to standard
+    output when ``path`` is ``"-"``."""
+    if fmt not in _WRITERS:
         raise ValueError(f"unknown format: {fmt!r}")
+    if path == "-":
+        _WRITERS[fmt](rows, sys.stdout)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            write_rows_csv(rows, fh)
-        else:
-            write_rows_jsonl(rows, fh)
+        _WRITERS[fmt](rows, fh)

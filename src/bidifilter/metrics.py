@@ -39,6 +39,16 @@ class LatencyParams:
             raise ValueError(f"latencies must be finite and positive, got {times}")
 
 
+def check_latency_covers(latency: LatencyParams, n_levels: int, what: str) -> None:
+    """Raise, saying what to pass, unless ``latency`` prices every level."""
+    given = len(latency.level_ns)
+    if given < n_levels:
+        raise ValueError(
+            f"a {n_levels}-level {what} needs {n_levels} level latencies, {given} given; "
+            f"pass latency=LatencyParams(level_ns=(t_l1, ..., t_l{n_levels}), miss_ns=t_miss)"
+        )
+
+
 # DRAM-vs-flash style alternative where misses are cheap reads from the
 # backing store but L2 writes still hurt.
 FAST_MISS_LATENCY = LatencyParams(level_ns=(2.0, 200_000.0), miss_ns=100.0)
@@ -134,26 +144,24 @@ def hit_ratio(stats: SimStats) -> float:
     return stats.total_hits / stats.requests
 
 
-def avg_read_latency(stats: SimStats, params: LatencyParams) -> float:
-    """Mean nanoseconds to serve a request, ignoring write traffic."""
+def _mean_latency(stats: SimStats, params: LatencyParams, with_writes: bool) -> float:
+    """Mean nanoseconds per request; the read-only mean adds 0 in place
+    of each level's writes, so both sum in the same order."""
     if stats.requests == 0:
         raise ValueError("no requests recorded")
-    if len(params.level_ns) < stats.n_levels:
-        raise ValueError("latency params cover fewer levels than the stats")
+    check_latency_covers(params, stats.n_levels, "histogram")
     num = _exact(params.miss_ns) * stats.misses
     for level in range(1, stats.n_levels + 1):
-        num += _exact(params.level_ns[level - 1]) * stats.hits_at(level)
+        t = _exact(params.level_ns[level - 1])
+        num += t * stats.hits_at(level) + (t * stats.writes_at(level) if with_writes else 0)
     return num / stats.requests
+
+
+def avg_read_latency(stats: SimStats, params: LatencyParams) -> float:
+    """Mean nanoseconds to serve a request, ignoring write traffic."""
+    return _mean_latency(stats, params, with_writes=False)
 
 
 def avg_rw_latency(stats: SimStats, params: LatencyParams) -> float:
     """Mean nanoseconds per request including the writes each one caused."""
-    if stats.requests == 0:
-        raise ValueError("no requests recorded")
-    if len(params.level_ns) < stats.n_levels:
-        raise ValueError("latency params cover fewer levels than the stats")
-    num = _exact(params.miss_ns) * stats.misses
-    for level in range(1, stats.n_levels + 1):
-        t = _exact(params.level_ns[level - 1])
-        num += t * stats.hits_at(level) + t * stats.writes_at(level)
-    return num / stats.requests
+    return _mean_latency(stats, params, with_writes=True)

@@ -19,10 +19,10 @@ Every request is recorded in the sketch before any decision is made.
 The cache is exclusive: a key lives in at most one space at a time.
 
 One engine, ``CascadeFilter``, runs this scheme over any number of
-levels (a filter between every adjacent pair).  ``BiDiFilter`` is its
-two-level shorthand, with the lower level named ``l2``;
-``BiDiFilterUnited`` is the two-level shorthand whose window takes all
-of L1 (``window_fraction=1``).  ``oracles.reference_filter_outcomes``
+levels (a filter between every adjacent pair), and ``make_policy``
+builds it for both filtered kinds.  ``BiDiFilter`` is its two-level
+shorthand; ``BiDiFilterUnited`` is the two-level shorthand whose window
+takes all of L1 (``window_fraction=1``).  ``oracles.reference_filter_outcomes``
 restates the scheme with python lists as the tests' reference.
 
 Writes are accounted per level: an insert into a level coming from
@@ -54,7 +54,6 @@ single undivided L1 report L1 hits in the window bucket.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -185,15 +184,14 @@ def default_sketch(level_capacities, rng_seed: int) -> FrequencySketch:
 
 
 def make_policy(spec: PolicySpec):
-    """Build a policy object from its spec."""
+    """Build a policy object from its spec; both filtered kinds, at any
+    depth, are a ``CascadeFilter``."""
     caps = spec.level_capacities
-    if spec.kind == "BiDiFilterUnited":
-        return BiDiFilterUnited(caps, tie_break=spec.tie_break, rng_seed=spec.rng_seed)
-    if spec.kind == "BiDiFilter":
-        cls = BiDiFilter if len(caps) == 2 else CascadeFilter
-        return cls(
+    if spec.kind in ("BiDiFilter", "BiDiFilterUnited"):
+        united = spec.kind == "BiDiFilterUnited"
+        return CascadeFilter(
             caps,
-            window_fraction=spec.window_fraction,
+            window_fraction=1.0 if united else spec.window_fraction,
             tie_break=spec.tie_break,
             rng_seed=spec.rng_seed,
         )
@@ -386,14 +384,13 @@ class CascadeFilter:
 
 
 class BiDiFilter(CascadeFilter):
-    """The filtered policy at exactly two levels; ``l2`` names the lower one."""
+    """The filtered policy at exactly two levels; ``mains[0]`` is L2."""
 
     def __init__(self, level_capacities, **kwargs):
         caps = tuple(level_capacities)
         if len(caps) != 2:
             raise ValueError(f"{type(self).__name__} supports exactly two levels")
         super().__init__(caps, **kwargs)
-        self.l2 = self.mains[0]
 
 
 class BiDiFilterUnited(BiDiFilter):
@@ -413,9 +410,9 @@ class Promote:
     demote_prob = 1; ``NaiveLRU`` is promote_prob = 0, demote_prob = 1.
 
     Draw order per request: one draw for the promotion decision on a
-    deep hit, then one draw per demotion hop, top down.  When both
-    probabilities are 0 or 1 no draw can change an outcome, and none is
-    made.
+    deep hit, then one draw per demotion hop, top down.  Every decision
+    draws, whatever its probability: a draw in [0, 1) never passes a
+    probability of 0 and always passes one of 1.
 
     Outcomes are interned per engine: every insert starts at L1 and
     cascades down, so a request writes levels 1 to the last level
@@ -445,10 +442,7 @@ class Promote:
         self.promote_prob = promote_prob
         self.demote_prob = demote_prob
         self.rng = random.Random(rng_seed)
-        # a constant 0.5 decides a 0-or-1 probability the way any draw
-        # would, without advancing the random stream
-        certain = {promote_prob, demote_prob} <= {0, 1}
-        self._coin = itertools.repeat(0.5).__next__ if certain else self.rng.random
+        self._coin = self.rng.random
 
     def handle(self, key) -> AccessOutcome:
         for i, od in self._chain:

@@ -127,9 +127,15 @@ def test_seeds_must_be_integers():
 
 
 def test_make_policy_kinds():
-    assert isinstance(make_policy(PolicySpec("BiDiFilter", (2, 4))), BiDiFilter)
-    assert isinstance(make_policy(PolicySpec("BiDiFilter", (2, 4, 8))), CascadeFilter)
-    assert isinstance(make_policy(PolicySpec("BiDiFilterUnited", (2, 4))), BiDiFilterUnited)
+    # both filtered kinds are one engine at every depth; United is its
+    # window-only form
+    for caps in ((2, 4), (2, 4, 8)):
+        filtered = make_policy(PolicySpec("BiDiFilter", caps, window_fraction=0.25))
+        assert type(filtered) is CascadeFilter and filtered.window_fraction == 0.25
+        assert not hasattr(filtered, "l2")
+    united = make_policy(PolicySpec("BiDiFilterUnited", (2, 4), window_fraction=0.25))
+    assert type(united) is CascadeFilter and united.window_fraction == 1.0
+    assert united.veterans.capacity == 0 and not hasattr(united, "l2")
     assert isinstance(make_policy(PolicySpec("Demote", (2, 4))), Demote)
     assert isinstance(make_policy(PolicySpec("NaiveLRU", (2, 4))), NaiveLRU)
     assert isinstance(make_policy(PolicySpec("Promote", (2, 4))), Promote)
@@ -429,8 +435,8 @@ def test_bound_replay_over_chunk_keys_matches_reference_sketch(tmp_path):
 
 def test_chain_kinds_match_list_reference():
     # every request of the three unfiltered kinds, at 2-4 levels, against
-    # the list-based reference, which draws on every decision; the engine
-    # may skip draws only where no draw can change an outcome
+    # the list-based reference; both draw on every decision, in the same
+    # order, from the same seed
     rnd = random.Random(91)
     probs = [(0.5, 0.5), (1.0, 1.0), (0.0, 1.0), (1.0, 0.5), (0.5, 0.0), (0.0, 0.0)]
     cases = [("Promote", n, p, q) for n in (2, 3, 4) for p, q in probs]
