@@ -15,17 +15,16 @@ from bidifilter import (
     PolicySpec,
     SyntheticSpec,
     compile_trace,
-    count_uniques,
     generate_synthetic,
+    level_capacities_for,
     run_single,
 )
 
 spec = SyntheticSpec(length=200_000, ground_set=5_000, skew=0.9, recency=0.2,
                      rng_seed=11)
 trace = compile_trace(generate_synthetic(spec))
-uniques, total = count_uniques(trace)
-l2 = round(0.3 * uniques)
-l1 = max(1, round(0.1 * l2))
+uniques, total = len(trace.keys), len(trace.ids)
+l1, l2 = level_capacities_for(uniques, 0.3, 0.1)
 print(f"trace: {total} accesses, {uniques} distinct keys")
 print(f"geometry: L1={l1} L2={l2} (30% of footprint, 1:10 ratio)\n")
 

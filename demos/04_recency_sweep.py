@@ -16,7 +16,13 @@ its ground set (20,000 keys); at 1 the sweep takes tens of seconds.
 
 import sys
 
-from bidifilter import PolicySpec, SyntheticSpec, generate_synthetic, run_single
+from bidifilter import (
+    PolicySpec,
+    SyntheticSpec,
+    generate_synthetic,
+    level_capacities_for,
+    run_single,
+)
 
 SCALE = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
 if SCALE <= 0:
@@ -32,8 +38,7 @@ for tenths in range(0, 11, 2):
     spec = SyntheticSpec(length=LENGTH, ground_set=GROUND, skew=0.5,
                          recency=recency, rng_seed=606)
     keys = list(generate_synthetic(spec))
-    l2 = max(1, round(0.5 * len(set(keys))))
-    l1 = max(1, round(0.1 * l2))
+    l1, l2 = level_capacities_for(len(set(keys)), 0.5, 0.1)
     hits = {}
     for wf in (1.0, 0.0):
         row = run_single(

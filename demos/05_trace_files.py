@@ -11,7 +11,13 @@ Run:  python3 demos/05_trace_files.py
 import tempfile
 from pathlib import Path
 
-from bidifilter import PolicySpec, count_uniques, ingest_trace, run_single
+from bidifilter import (
+    PolicySpec,
+    count_uniques,
+    ingest_trace,
+    level_capacities_for,
+    run_single,
+)
 
 TRACE_TEXT = """\
 # object store access log: key[,size_bytes]
@@ -36,8 +42,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print("(a 130000-byte object spans 32 chunks of 4096 bytes; unsized")
     print(" lines count as a single chunk)\n")
 
-    l2 = max(1, round(0.5 * uniques))
-    l1 = max(1, round(0.2 * l2))
+    l1, l2 = level_capacities_for(uniques, 0.5, 0.2)
     row = run_single(
         PolicySpec("BiDiFilter", (l1, l2)), ingest_trace(path), trace_id=path.name
     )

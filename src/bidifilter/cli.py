@@ -11,6 +11,15 @@ from .policies import KINDS, TIE_BREAKS, PolicySpec
 from .workload import SyntheticSpec
 
 
+def _number(parse, text: str, flag: str):
+    """``parse(text)``, or a ValueError that names the flag and the text."""
+    try:
+        return parse(text)
+    except ValueError:
+        what = "an integer" if parse is int else "a number"
+        raise ValueError(f"{flag}: {text!r} is not {what}") from None
+
+
 def _parse_synthetic(text: str, seed: int) -> SyntheticSpec:
     parts = text.split(":")
     if len(parts) != 4:
@@ -19,23 +28,23 @@ def _parse_synthetic(text: str, seed: int) -> SyntheticSpec:
             f"got {text!r}"
         )
     return SyntheticSpec(
-        length=int(parts[0]),
-        ground_set=int(parts[1]),
-        skew=float(parts[2]),
-        recency=float(parts[3]),
+        length=_number(int, parts[0], "--synthetic"),
+        ground_set=_number(int, parts[1], "--synthetic"),
+        skew=_number(float, parts[2], "--synthetic"),
+        recency=_number(float, parts[3], "--synthetic"),
         rng_seed=seed,
     )
 
 
 def _parse_latency(text: str) -> LatencyParams:
-    values = [float(v) for v in text.split(",")]
+    values = _parse_floats(text, "--latency")
     if len(values) < 2:
         raise ValueError("--latency wants at least t_l1,...,t_miss")
-    return LatencyParams(level_ns=tuple(values[:-1]), miss_ns=values[-1])
+    return LatencyParams(level_ns=values[:-1], miss_ns=values[-1])
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+    return tuple(_number(float, v, flag) for v in text.split(","))
 
 
 def _add_common(sub: argparse.ArgumentParser, multi_policy: bool) -> None:
@@ -157,7 +166,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     kinds = tuple(k.strip() for k in args.policy.split(","))
     sweep = _sweep_spec(
-        args, kinds, _parse_floats(args.l2_pct), _parse_floats(args.l1_ratio)
+        args, kinds, _parse_floats(args.l2_pct, "--l2-pct"),
+        _parse_floats(args.l1_ratio, "--l1-ratio"),
     )
     write_rows(run_sweep(sweep, jobs=args.jobs), args.out, args.format)
     return 0

@@ -141,7 +141,8 @@ def run_single(
     (``check_invariants``) are left to callers that replay it
     themselves.
     """
-    latency = latency or LatencyParams()
+    if latency is None:
+        latency = LatencyParams()
     check_latency_covers(latency, policy_spec.n_levels, "policy")
     policy = make_policy(policy_spec)
     stats = SimStats(policy.n_levels)
@@ -232,6 +233,19 @@ def lru_profile(trace: CompiledTrace) -> tuple[np.ndarray, np.ndarray]:
     return distances, distinct_before
 
 
+def _as_tuple(name: str, value) -> tuple:
+    """A sequence field as a tuple; a bare value, or a string, is refused."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
+def _check_n_levels(n_levels) -> int:
+    if not (isinstance(n_levels, Integral) and n_levels >= 2):
+        raise ValueError(f"n_levels must be an integer >= 2, got {n_levels!r}")
+    return int(n_levels)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A full experiment: one trace source crossed with geometries/policies.
@@ -258,9 +272,8 @@ class SweepSpec:
                 "trace_source must be a SyntheticSpec, a str or a path, "
                 f"got {self.trace_source!r}"
             )
-        object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(self, "l2_size_percents", tuple(self.l2_size_percents))
-        object.__setattr__(self, "l1_ratios", tuple(self.l1_ratios))
+        for name in ("policies", "l2_size_percents", "l1_ratios"):
+            object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
         if not self.policies:
             raise ValueError("need at least one policy")
         if not all(isinstance(p, PolicySpec) for p in self.policies):
@@ -273,9 +286,7 @@ class SweepSpec:
             )
         if any(not (isinstance(r, Real) and 0.0 < r < 1.0) for r in self.l1_ratios):
             raise ValueError(f"l1_ratios must be numbers in (0, 1), got {self.l1_ratios!r}")
-        if not (isinstance(self.n_levels, Integral) and self.n_levels >= 2):
-            raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels!r}")
-        object.__setattr__(self, "n_levels", int(self.n_levels))
+        object.__setattr__(self, "n_levels", _check_n_levels(self.n_levels))
         if not isinstance(self.master_seed, Integral):
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         object.__setattr__(self, "master_seed", int(self.master_seed))
@@ -307,6 +318,7 @@ def level_capacities_for(
     deeper levels keep growing by the inverse ratio.  Every capacity is
     clamped up to 1.
     """
+    n_levels = _check_n_levels(n_levels)
     l2 = max(1, round(l2_percent * uniques))
     l1 = max(1, round(l1_ratio * l2))
     caps = [l1, l2]

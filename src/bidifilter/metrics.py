@@ -40,7 +40,10 @@ class LatencyParams:
 
 
 def check_latency_covers(latency: LatencyParams, n_levels: int, what: str) -> None:
-    """Raise, saying what to pass, unless ``latency`` prices every level."""
+    """Raise, saying what to pass, unless ``latency`` is a LatencyParams
+    that prices every one of ``n_levels`` levels."""
+    if not isinstance(latency, LatencyParams):
+        raise ValueError(f"latency must be a LatencyParams, got {latency!r}")
     given = len(latency.level_ns)
     if given < n_levels:
         raise ValueError(

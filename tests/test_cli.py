@@ -23,6 +23,12 @@ def test_parse_synthetic():
     assert spec.rng_seed == 7
     with pytest.raises(ValueError):
         _parse_synthetic("100:50:0.9", seed=0)
+    # a part that fails to parse is named with its flag
+    for text, part, what in (("1e3:100:0.8:0.2", "1e3", "an integer"),
+                             ("100:5x:0.8:0.2", "5x", "an integer"),
+                             ("100:50:high:0.2", "high", "a number")):
+        with pytest.raises(ValueError, match=f"--synthetic: '{part}' is not {what}"):
+            _parse_synthetic(text, seed=0)
 
 
 def test_parse_latency():
@@ -33,6 +39,8 @@ def test_parse_latency():
     assert p3.level_ns == (1.0, 2.0, 3.0)
     with pytest.raises(ValueError):
         _parse_latency("100")
+    with pytest.raises(ValueError, match="--latency: 'x' is not a number"):
+        _parse_latency("1,x")
 
 
 def test_parser_requires_subcommand_and_source():
@@ -205,6 +213,18 @@ def test_sweep_unknown_policy_errors(capsys):
     )
     assert code == 1
     assert "Bogus" in err
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (("run", "--synthetic", "1e3:100:0.8:0.2"), "--synthetic: '1e3' is not an integer"),
+    (("run", "--synthetic", SYN, "--latency", "1,x"), "--latency: 'x' is not a number"),
+    (("sweep", "--synthetic", SYN, "--l2-pct", "0.1,abc"), "--l2-pct: 'abc' is not a number"),
+    (("sweep", "--synthetic", SYN, "--l1-ratio", "0.1,"), "--l1-ratio: '' is not a number"),
+], ids=["synthetic", "latency", "l2-pct", "l1-ratio"])
+def test_unparsable_numbers_name_their_flag(capsys, args, fragment):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert err == f"error: {fragment}\n"
 
 
 @pytest.mark.parametrize("args, fragment", [

@@ -83,6 +83,9 @@ def test_run_single_checks_latency_depth_before_replay():
 
     with pytest.raises(ValueError, match="latency"):
         run_single(PolicySpec("BiDiFilter", (2, 4, 8)), untouchable())
+    for bad in ((1.0, 2.0, 3.0), ()):
+        with pytest.raises(ValueError, match="latency must be a LatencyParams"):
+            run_single(PolicySpec("Demote", (2, 4)), untouchable(), latency=bad)
 
 
 def test_trace_label_forms():
@@ -98,6 +101,10 @@ def test_level_capacities_for():
     assert level_capacities_for(1000, 0.001, 0.5) == (1, 1)  # clamped
     assert level_capacities_for(1000, 0.1, 0.25, n_levels=4) == (25, 100, 400, 1600)
     assert level_capacities_for(50, 0.5, 0.3) == (8, 25)  # round(7.5) banker's
+    assert level_capacities_for(1000, 0.1, 0.25, n_levels=np.int64(3)) == (25, 100, 400)
+    for bad in (2.5, 1, 0, "3", None):
+        with pytest.raises(ValueError, match="n_levels must be an integer >= 2"):
+            level_capacities_for(100, 0.5, 0.1, bad)
 
 
 def test_sweep_spec_validation():
@@ -145,6 +152,20 @@ def test_sweep_spec_validation():
             SweepSpec(bad, pols, (0.1,), (0.2,))
     for good in ("trace.txt", Path("trace.txt")):
         assert SweepSpec(good, pols, (0.1,), (0.2,)).trace_source == good
+    # latency must be a LatencyParams, not a bare tuple of its numbers
+    for bad in (None, (100.0, 200.0, 300.0)):
+        with pytest.raises(ValueError, match="latency must be a LatencyParams"):
+            SweepSpec(SMALL, pols, (0.1,), (0.2,), latency=bad)
+    # a bare value, or a string, where a sequence belongs
+    with pytest.raises(ValueError, match="policies must be a sequence"):
+        SweepSpec(SMALL, pols[0], (0.1,), (0.2,))
+    for bad in (0.5, "0.5"):
+        with pytest.raises(ValueError, match="l2_size_percents must be a sequence"):
+            SweepSpec(SMALL, pols, bad, (0.2,))
+        with pytest.raises(ValueError, match="l1_ratios must be a sequence"):
+            SweepSpec(SMALL, pols, (0.5,), bad)
+    spec = SweepSpec(SMALL, iter(pols), [0.1], np.array([0.2]))
+    assert (spec.policies, spec.l2_size_percents, spec.l1_ratios) == (pols, (0.1,), (0.2,))
     for bad in (("BiDiFilter",), (pols[0], None), [{"kind": "Demote"}]):
         with pytest.raises(ValueError, match="policies"):
             SweepSpec(SMALL, bad, (0.1,), (0.2,))
@@ -544,7 +565,7 @@ def test_jsonl_round_trip():
     assert second["tie_break"] == "admit"
 
 
-def test_write_rows_to_files(tmp_path):
+def test_write_rows_to_files(tmp_path, capsys, monkeypatch):
     rows = [make_row()]
     csv_path = tmp_path / "out.csv"
     jsonl_path = tmp_path / "out.jsonl"
@@ -554,6 +575,12 @@ def test_write_rows_to_files(tmp_path):
     assert json.loads(jsonl_path.read_text())["policy_name"] == "Demote"
     with pytest.raises(ValueError):
         write_rows(rows, tmp_path / "x", "parquet")
+    # "-" is standard output, not a file of that name
+    monkeypatch.chdir(tmp_path)
+    for path in (csv_path, jsonl_path):
+        write_rows(rows, "-", path.suffix[1:])
+        assert capsys.readouterr().out == path.read_text()
+    assert not (tmp_path / "-").exists()
 
 
 def test_csv_and_jsonl_agree_on_values():

@@ -187,8 +187,12 @@ def test_empty_stats_refuse_ratios():
 def test_params_must_cover_all_levels():
     s = SimStats(3)
     s.add(AccessOutcome(MISS, ((1, 1),)))
-    with pytest.raises(ValueError):
-        avg_read_latency(s, LatencyParams((100.0, 200.0), 300.0))
+    for mean in (avg_read_latency, avg_rw_latency):
+        with pytest.raises(ValueError, match="3-level histogram needs 3 level latencies"):
+            mean(s, LatencyParams((100.0, 200.0), 300.0))
+        for bad in (None, (100.0, 200.0, 300.0)):
+            with pytest.raises(ValueError, match="latency must be a LatencyParams"):
+                mean(s, bad)
 
 
 def test_worked_latency_fixture():
@@ -268,6 +272,24 @@ def test_non_integer_latencies_use_float_path():
     p = LatencyParams((0.5, 1000.0), 1.5)
     expected = (3 * 0.5 + 1 * 1000.0 + 2 * 1.5) / 6
     assert avg_read_latency(s, p) == expected
+
+
+def test_three_level_float_latencies_with_writes():
+    s = SimStats(3)
+    s.counts[AccessOutcome(HIT_L1_WINDOW)] = 7
+    s.counts[AccessOutcome(HIT_L2, ((1, 1),))] = 3
+    s.counts[AccessOutcome(hit_at_level(3), ((2, 1), (3, 1)))] = 2
+    s.counts[AccessOutcome(MISS, ((1, 1), (2, 1), (3, 1)))] = 5
+    p = LatencyParams((0.3, 7.1, 123.45), 999.9)
+    # summed as the means always have: misses first, then level by level
+    # its hits, and for the read-write mean its writes in the same step
+    hits, writes = (7, 3, 2), (8, 7, 7)
+    read = rw = p.miss_ns * 5
+    for t, h, w in zip(p.level_ns, hits, writes):
+        read += t * h
+        rw += t * h + t * w
+    assert avg_read_latency(s, p) == read / 17
+    assert avg_rw_latency(s, p) == rw / 17
 
 
 def test_big_counts_stay_exact():
