@@ -34,12 +34,12 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .checks import integer, number, sequence
 from .metrics import (
     LatencyParams,
     SimStats,
@@ -48,11 +48,9 @@ from .metrics import (
     check_latency_covers,
     hit_ratio,
 )
-from .policies import PolicySpec, make_policy
+from .policies import _FILTERED_KINDS, PolicySpec, make_policy
 from .sketch import derive_seed
 from .workload import SyntheticSpec, count_uniques, generate_synthetic, ingest_trace
-
-_FILTERED_KINDS = ("BiDiFilter", "BiDiFilterUnited")
 
 
 @dataclass(frozen=True)
@@ -233,19 +231,6 @@ def lru_profile(trace: CompiledTrace) -> tuple[np.ndarray, np.ndarray]:
     return distances, distinct_before
 
 
-def _as_tuple(name: str, value) -> tuple:
-    """A sequence field as a tuple; a bare value, or a string, is refused."""
-    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
-        raise ValueError(f"{name} must be a sequence, got {value!r}")
-    return tuple(value)
-
-
-def _check_n_levels(n_levels) -> int:
-    if not (isinstance(n_levels, Integral) and n_levels >= 2):
-        raise ValueError(f"n_levels must be an integer >= 2, got {n_levels!r}")
-    return int(n_levels)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A full experiment: one trace source crossed with geometries/policies.
@@ -272,24 +257,21 @@ class SweepSpec:
                 "trace_source must be a SyntheticSpec, a str or a path, "
                 f"got {self.trace_source!r}"
             )
-        for name in ("policies", "l2_size_percents", "l1_ratios"):
-            object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
+        object.__setattr__(self, "policies", sequence("policies", self.policies))
+        object.__setattr__(self, "l2_size_percents", sequence(
+            "l2_size_percents", self.l2_size_percents, lambda p: number(
+                "l2_size_percents", p, "numbers in (0, 1]", lambda x: 0.0 < x <= 1.0)))
+        object.__setattr__(self, "l1_ratios", sequence(
+            "l1_ratios", self.l1_ratios, lambda r: number(
+                "l1_ratios", r, "numbers in (0, 1)", lambda x: 0.0 < x < 1.0)))
         if not self.policies:
             raise ValueError("need at least one policy")
         if not all(isinstance(p, PolicySpec) for p in self.policies):
             raise ValueError(f"policies must be PolicySpecs, got {self.policies!r}")
         if not self.l2_size_percents or not self.l1_ratios:
             raise ValueError("need at least one geometry point")
-        if any(not (isinstance(p, Real) and 0.0 < p <= 1.0) for p in self.l2_size_percents):
-            raise ValueError(
-                f"l2_size_percents must be numbers in (0, 1], got {self.l2_size_percents!r}"
-            )
-        if any(not (isinstance(r, Real) and 0.0 < r < 1.0) for r in self.l1_ratios):
-            raise ValueError(f"l1_ratios must be numbers in (0, 1), got {self.l1_ratios!r}")
-        object.__setattr__(self, "n_levels", _check_n_levels(self.n_levels))
-        if not isinstance(self.master_seed, Integral):
-            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "n_levels", integer("n_levels", self.n_levels, 2))
+        object.__setattr__(self, "master_seed", integer("master_seed", self.master_seed))
         check_latency_covers(self.latency, self.n_levels, "sweep")
 
 
@@ -318,7 +300,10 @@ def level_capacities_for(
     deeper levels keep growing by the inverse ratio.  Every capacity is
     clamped up to 1.
     """
-    n_levels = _check_n_levels(n_levels)
+    uniques = integer("uniques", uniques, 0)
+    l2_percent = number("l2_percent", l2_percent, "a number in (0, 1]", lambda x: 0.0 < x <= 1.0)
+    l1_ratio = number("l1_ratio", l1_ratio, "a number in (0, 1)", lambda x: 0.0 < x < 1.0)
+    n_levels = integer("n_levels", n_levels, 2)
     l2 = max(1, round(l2_percent * uniques))
     l1 = max(1, round(l1_ratio * l2))
     caps = [l1, l2]
@@ -350,8 +335,7 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
     sweep starts at most one per cell that replays (every kind but
     Demote), and none when at most one cell replays.
     """
-    if not (isinstance(jobs, Integral) and jobs >= 1):
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    jobs = integer("jobs", jobs, 1)
     trace = compile_trace(open_trace(sweep.trace_source))
     uniques, accesses = count_uniques(trace)
     if accesses == 0:
@@ -370,7 +354,7 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
                 )
                 specs.append(spec)
                 index += 1
-    workers = min(int(jobs), sum(spec.kind != "Demote" for spec in specs))
+    workers = min(jobs, sum(spec.kind != "Demote" for spec in specs))
     if workers > 1:
         # each worker receives the trace once, at start-up (inherited
         # under fork); a task carries only its PolicySpec

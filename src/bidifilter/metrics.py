@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral, Real
 
+from .checks import integer, number, sequence
 from .policies import HIT_L1_VETERANS, HIT_L1_WINDOW, MISS, AccessOutcome, hit_at_level
 
 
@@ -27,13 +27,11 @@ class LatencyParams:
     miss_ns: float = 2_000_000.0
 
     def __post_init__(self):
-        object.__setattr__(self, "level_ns", tuple(self.level_ns))
+        object.__setattr__(self, "level_ns", sequence(
+            "level_ns", self.level_ns, lambda t: number("level_ns", t, "numbers")))
+        object.__setattr__(self, "miss_ns", number("miss_ns", self.miss_ns))
         if not self.level_ns:
             raise ValueError("need at least one level latency")
-        if not all(isinstance(t, Real) for t in self.level_ns):
-            raise ValueError(f"level_ns must be numbers, got {self.level_ns!r}")
-        if not isinstance(self.miss_ns, Real):
-            raise ValueError(f"miss_ns must be a number, got {self.miss_ns!r}")
         times = (*self.level_ns, self.miss_ns)
         if not all(math.isfinite(t) and t > 0 for t in times):
             raise ValueError(f"latencies must be finite and positive, got {times}")
@@ -70,9 +68,7 @@ class SimStats:
     __slots__ = ("n_levels", "counts")
 
     def __init__(self, n_levels: int):
-        if not (isinstance(n_levels, Integral) and n_levels >= 1):
-            raise ValueError(f"n_levels must be an integer >= 1, got {n_levels!r}")
-        self.n_levels = int(n_levels)
+        self.n_levels = integer("n_levels", n_levels, 1)
         self.counts: Counter[AccessOutcome] = Counter()
 
     def add(self, outcome: AccessOutcome) -> None:

@@ -57,11 +57,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
+from .checks import integer, number, sequence
 from .sketch import FrequencySketch, SketchConfig, mix64
 from .spaces import LruSpace, SlruSpace, lru_cascade, lru_chain
 
@@ -70,6 +70,7 @@ HIT_L1_WINDOW = "hit_l1_window"
 HIT_L1_VETERANS = "hit_l1_veterans"
 
 KINDS = ("BiDiFilter", "BiDiFilterUnited", "Demote", "NaiveLRU", "Promote")
+_FILTERED_KINDS = ("BiDiFilter", "BiDiFilterUnited")  # the kinds a CascadeFilter runs
 TIE_BREAKS = ("admit", "reject")
 
 _SKETCH_SALT = 0xB1D1F117E2
@@ -101,26 +102,15 @@ def _run(first: int, last: int) -> tuple[tuple[int, int], ...]:
 
 def _check_level_capacities(level_capacities) -> tuple[int, ...]:
     """The capacities as Python ints: at least two levels, each an integer >= 1."""
-    caps = tuple(level_capacities)
+    caps = sequence("level_capacities", level_capacities,
+                    lambda c: integer("every level capacity", c, 1))
     if len(caps) < 2:
         raise ValueError("need at least two cache levels")
-    if not all(isinstance(c, Integral) and c >= 1 for c in caps):
-        raise ValueError(f"every level capacity must be an integer >= 1, got {caps}")
-    return tuple(map(int, caps))
+    return caps
 
 
-def _check_fractions(**values) -> None:
-    """Raise unless every named value is a real number in [0, 1]."""
-    for name, value in values.items():
-        if not (isinstance(value, Real) and 0.0 <= value <= 1.0):
-            raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-
-
-def _check_seed(rng_seed) -> int:
-    """The seed as a Python int; any integer is a seed."""
-    if not isinstance(rng_seed, Integral):
-        raise ValueError(f"rng_seed must be an integer, got {rng_seed!r}")
-    return int(rng_seed)
+def _fraction(name: str, value) -> float:
+    return number(name, value, "a number in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 
 
 def _check_tie_break(tie_break) -> None:
@@ -144,10 +134,9 @@ class PolicySpec:
     """Declarative description of a policy instance.
 
     window_fraction and tie_break only apply to the filtered kinds;
-    promote_prob/demote_prob only to Promote.  rng_seed, an integer
-    (numpy integers are stored as Python ints), feeds the sketch hash
-    seed and Promote's coin flips.  These defaults are the engines' and
-    the command line's defaults too.
+    promote_prob/demote_prob only to Promote.  rng_seed, an integer,
+    feeds the sketch hash seed and Promote's coin flips.  These defaults
+    are the engines' and the command line's defaults too.
     """
 
     kind: str
@@ -166,10 +155,10 @@ class PolicySpec:
         )
         if self.kind == "BiDiFilterUnited" and self.n_levels != 2:
             raise ValueError("BiDiFilterUnited supports exactly two levels")
-        _check_fractions(window_fraction=self.window_fraction,
-                         promote_prob=self.promote_prob, demote_prob=self.demote_prob)
+        for name in ("window_fraction", "promote_prob", "demote_prob"):
+            object.__setattr__(self, name, _fraction(name, getattr(self, name)))
         _check_tie_break(self.tie_break)
-        object.__setattr__(self, "rng_seed", _check_seed(self.rng_seed))
+        object.__setattr__(self, "rng_seed", integer("rng_seed", self.rng_seed))
 
     @property
     def n_levels(self) -> int:
@@ -187,7 +176,7 @@ def make_policy(spec: PolicySpec):
     """Build a policy object from its spec; both filtered kinds, at any
     depth, are a ``CascadeFilter``."""
     caps = spec.level_capacities
-    if spec.kind in ("BiDiFilter", "BiDiFilterUnited"):
+    if spec.kind in _FILTERED_KINDS:
         united = spec.kind == "BiDiFilterUnited"
         return CascadeFilter(
             caps,
@@ -253,9 +242,9 @@ class CascadeFilter:
         sketch: FrequencySketch | None = None,
     ):
         caps = _check_level_capacities(level_capacities)
-        _check_fractions(window_fraction=window_fraction)
+        window_fraction = _fraction("window_fraction", window_fraction)
         _check_tie_break(tie_break)
-        rng_seed = _check_seed(rng_seed)
+        rng_seed = integer("rng_seed", rng_seed)
         window = round(window_fraction * caps[0])
         self.window_fraction = window_fraction
         self.window = LruSpace(window)
@@ -387,7 +376,7 @@ class BiDiFilter(CascadeFilter):
     """The filtered policy at exactly two levels; ``mains[0]`` is L2."""
 
     def __init__(self, level_capacities, **kwargs):
-        caps = tuple(level_capacities)
+        caps = _check_level_capacities(level_capacities)
         if len(caps) != 2:
             raise ValueError(f"{type(self).__name__} supports exactly two levels")
         super().__init__(caps, **kwargs)
@@ -423,8 +412,9 @@ class Promote:
     def __init__(self, level_capacities, *, promote_prob=PolicySpec.promote_prob,
                  demote_prob=PolicySpec.demote_prob, rng_seed=PolicySpec.rng_seed):
         caps = _check_level_capacities(level_capacities)
-        _check_fractions(promote_prob=promote_prob, demote_prob=demote_prob)
-        rng_seed = _check_seed(rng_seed)
+        promote_prob = _fraction("promote_prob", promote_prob)
+        demote_prob = _fraction("demote_prob", demote_prob)
+        rng_seed = integer("rng_seed", rng_seed)
         self.levels = tuple(LruSpace(c) for c in caps)
         self.n_levels = len(caps)
         # interned outcomes, indexed by the last level written (0 for a

@@ -27,9 +27,10 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
+
+from .checks import integer
 
 _M64 = (1 << 64) - 1
 _MIX1 = 0xFF51AFD7ED558CCD
@@ -68,8 +69,6 @@ class SketchConfig:
         sample_size it fixes the counter saturation cap ceil(W/C).
     depth: rows; a key has one counter in each.
     width: counters per row: a power of two >= C, by default the smallest.
-
-    Every field is an integer; numpy integers are stored as Python ints.
     """
 
     sample_size: int
@@ -78,21 +77,10 @@ class SketchConfig:
     width: int | None = None
 
     def __post_init__(self):
-        for name in ("sample_size", "tracked_capacity", "depth", "width"):
-            value = getattr(self, name)
-            if value is None and name == "width":
-                continue
-            if not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
-        if self.tracked_capacity < 1:
-            raise ValueError("tracked_capacity must be >= 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.width is None:
-            object.__setattr__(self, "width", next_pow2(self.tracked_capacity))
+        for name in ("sample_size", "tracked_capacity", "depth"):
+            object.__setattr__(self, name, integer(name, getattr(self, name), 1))
+        width = next_pow2(self.tracked_capacity) if self.width is None else self.width
+        object.__setattr__(self, "width", integer("width", width))
         if self.width < self.tracked_capacity:
             raise ValueError("width must be >= tracked_capacity")
         if self.width & (self.width - 1):

@@ -28,16 +28,10 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from numbers import Integral
+
+from .checks import integer
 
 PROTECTED_FRACTION = 0.8  # share of an SlruSpace's capacity that is protected
-
-
-def _check_capacity(capacity) -> int:
-    """The capacity as a Python int: an integer >= 0, numpy ints included."""
-    if not (isinstance(capacity, Integral) and capacity >= 0):
-        raise ValueError(f"capacity must be an integer >= 0, got {capacity!r}")
-    return int(capacity)
 
 
 class SlruSpace:
@@ -52,8 +46,8 @@ class SlruSpace:
     _protected_fraction = PROTECTED_FRACTION
 
     def __init__(self, capacity: int):
-        self.capacity = _check_capacity(capacity)
-        self.protected_capacity = math.ceil(self._protected_fraction * capacity)
+        self.capacity = integer("capacity", capacity, 0)
+        self.protected_capacity = math.ceil(self._protected_fraction * self.capacity)
         self.insert_count = 0
         self._probation: OrderedDict = OrderedDict()
         self._protected: OrderedDict = OrderedDict()

@@ -19,11 +19,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from .checks import integer, number
 
 _BLOCK = 8192
 RECENT_BUFFER = 10  # recently emitted keys a recent-branch event picks from
@@ -43,8 +44,7 @@ class SyntheticSpec:
     duplicates and all); otherwise the key is a Zipf(skew) draw over
     ``{1..ground_set}``.  The first ``RECENT_BUFFER`` events always take
     the Zipf branch so the buffer never starts empty.  length and
-    ground_set are integers >= 1 and rng_seed an integer >= 0; numpy
-    integers are stored as Python ints.
+    ground_set are integers >= 1 and rng_seed an integer >= 0.
     """
 
     length: int
@@ -55,14 +55,11 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name, least in (("length", 1), ("ground_set", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not (isinstance(self.skew, Real) and math.isfinite(self.skew) and self.skew >= 0.0):
-            raise ValueError(f"skew must be finite and >= 0, got {self.skew!r}")
-        if not (isinstance(self.recency, Real) and 0.0 <= self.recency <= 1.0):
-            raise ValueError(f"recency must be a number in [0, 1], got {self.recency!r}")
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
+        object.__setattr__(self, "skew", number(
+            "skew", self.skew, "finite and >= 0", lambda x: math.isfinite(x) and x >= 0.0))
+        object.__setattr__(self, "recency", number(
+            "recency", self.recency, "a number in [0, 1]", lambda x: 0.0 <= x <= 1.0))
 
 
 def zipf_cumulative(ground_set: int, skew: float) -> np.ndarray:

@@ -105,6 +105,12 @@ def test_level_capacities_for():
     for bad in (2.5, 1, 0, "3", None):
         with pytest.raises(ValueError, match="n_levels must be an integer >= 2"):
             level_capacities_for(100, 0.5, 0.1, bad)
+    # a ratio of 0 would divide by zero at the third level
+    for args, field in (((1000, 0.1, 0.0, 3), "l1_ratio"), ((1000, 0.1, True), "l1_ratio"),
+                        ((1000, "0.1", 0.2), "l2_percent"), ((1000, 1.5, 0.2), "l2_percent"),
+                        ((True, 0.1, 0.2), "uniques")):
+        with pytest.raises(ValueError, match=field):
+            level_capacities_for(*args)
 
 
 def test_sweep_spec_validation():
@@ -135,16 +141,18 @@ def test_sweep_spec_validation():
     spec = SweepSpec(SMALL, pols, (0.1,), (0.2,), latency=three, n_levels=np.int64(3))
     assert type(spec.n_levels) is int
     assert spec == SweepSpec(SMALL, pols, (0.1,), (0.2,), latency=three, n_levels=3)
-    for bad in (1.5, "3", None):
+    for bad in (1.5, "3", None, True):
         with pytest.raises(ValueError, match="master_seed"):
             SweepSpec(SMALL, pols, (0.1,), (0.2,), master_seed=bad)
-    for bad in ("0.5", None, [0.5]):
+    for bad in ("0.5", None, [0.5], True):
         with pytest.raises(ValueError, match="l2_size_percents"):
             SweepSpec(SMALL, pols, (bad,), (0.1,))
         with pytest.raises(ValueError, match="l1_ratios"):
             SweepSpec(SMALL, pols, (0.5,), (0.1, bad))
     spec = SweepSpec(SMALL, pols, (np.float64(0.5), 1), (np.float32(0.25),))
     assert spec.l2_size_percents == (0.5, 1)
+    # every entry is stored as a Python float
+    assert all(type(x) is float for x in (*spec.l2_size_percents, *spec.l1_ratios))
     # an int trace source would be opened as a file descriptor (0 is
     # stdin), so it is refused here, before anything is opened
     for bad in (0, 42, True, np.int64(3), None, b"trace.txt"):
@@ -231,6 +239,31 @@ def test_numpy_int_seeds_give_the_rows_of_python_ints():
         assert all(type(row.rng_seed) is int for row in rows)
 
 
+def _written(rows, fmt: str) -> str:
+    buf = io.StringIO()
+    {"csv": write_rows_csv, "jsonl": write_rows_jsonl}[fmt](rows, buf)
+    return buf.getvalue()
+
+
+def test_number_representations_write_identical_rows():
+    # a window fraction of 1 in any representation is one spec and one
+    # row, written byte for byte alike
+    trace = list(generate_synthetic(replace(SMALL, length=2000)))
+    specs = [PolicySpec("BiDiFilter", (8, 24), window_fraction=w)
+             for w in (1, 1.0, np.float64(1.0), np.float32(1.0))]
+    assert all(spec == specs[0] for spec in specs)
+    rows = [[run_single(spec, trace)] for spec in specs]
+    for fmt in ("csv", "jsonl"):
+        written = {_written(row, fmt) for row in rows}
+        assert len(written) == 1, fmt
+    assert rows[0][0].window_fraction == 1.0
+    # numpy float32 latencies give float means that JSONL can write
+    latency = LatencyParams(tuple(map(np.float32, (2.5, 300.25))), np.float32(1e4))
+    row = run_single(specs[3], trace, latency)
+    assert type(row.avg_read_latency_ns) is float and type(row.avg_rw_latency_ns) is float
+    assert json.loads(_written([row], "jsonl"))["avg_rw_latency_ns"] == row.avg_rw_latency_ns
+
+
 def test_run_sweep_is_reproducible():
     assert run_sweep(sweep_fixture()) == run_sweep(sweep_fixture())
 
@@ -270,7 +303,7 @@ def test_run_sweep_reads_the_trace_once(jobs, monkeypatch, tmp_path):
     assert sorted(log.read_text().split()) == ["count_uniques", "open_trace"]
 
 
-@pytest.mark.parametrize("jobs", [0, -2, 1.5, 2.0, "2", None])
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, 2.0, "2", None, True])
 def test_run_sweep_rejects_jobs_below_one(jobs, monkeypatch):
     # jobs must be an integer >= 1, checked before the trace is opened
     def untouchable(source):

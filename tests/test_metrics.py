@@ -37,12 +37,19 @@ def test_latency_params_validation():
         LatencyParams((0.0, 5.0), 2.0)
     with pytest.raises(ValueError):
         LatencyParams((1.0, 5.0), 0.0)
-    for bad in ("100", None, b"1"):
+    for bad in ("100", None, b"1", True):
         with pytest.raises(ValueError, match="level_ns"):
             LatencyParams(level_ns=(bad, 200.0))
         with pytest.raises(ValueError, match="miss_ns"):
             LatencyParams(miss_ns=bad)
+    # a bare number, or a string, is no list of level latencies
+    for bad in (100.0, 100, "12", np.float64(100.0)):
+        with pytest.raises(ValueError, match="level_ns must be a sequence"):
+            LatencyParams(level_ns=bad)
     assert LatencyParams((np.float32(2.0), 5), np.int64(7)).miss_ns == 7
+    # every time is stored as a Python float
+    params = LatencyParams((np.float32(2.0), 5), np.int64(7))
+    assert all(type(t) is float for t in (*params.level_ns, params.miss_ns))
     assert FAST_MISS_LATENCY.level_ns == (2.0, 200_000.0)
     assert FAST_MISS_LATENCY.miss_ns == 100.0
 
@@ -86,7 +93,7 @@ def test_simstats_level_range_errors():
             s.hits_at(bad)
         with pytest.raises(ValueError):
             s.writes_at(bad)
-    for bad in (0, 2.5, 2.0, "2", None):
+    for bad in (0, 2.5, 2.0, "2", None, True):
         with pytest.raises(ValueError, match="n_levels"):
             SimStats(bad)
     s = SimStats(np.int64(3))

@@ -100,21 +100,41 @@ def test_policyspec_validation():
     spec = PolicySpec("BiDiFilter", (np.int64(2), np.uint32(4)))
     assert spec.level_capacities == (2, 4)
     assert all(type(c) is int for c in spec.level_capacities)
+    # a bare number, or a string, is no list of capacities
+    for bad in (5, 5.0, "24"):
+        with pytest.raises(ValueError, match="level_capacities"):
+            PolicySpec("BiDiFilter", bad)
+    # a bool is no integer and no number
+    with pytest.raises(ValueError, match="integer"):
+        PolicySpec("Demote", (True, 4))
+    with pytest.raises(ValueError, match="window_fraction"):
+        PolicySpec("BiDiFilter", (2, 4), window_fraction=True)
+    with pytest.raises(ValueError, match="window_fraction"):
+        CascadeFilter((2, 4), window_fraction=True)
+    with pytest.raises(ValueError, match="promote_prob"):
+        Promote((2, 4), promote_prob=False)
+    # every fraction is stored as a Python float, whatever number it came as
+    for good in (1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1)):
+        spec = PolicySpec("BiDiFilter", (2, 4), window_fraction=good, promote_prob=good)
+        assert type(spec.window_fraction) is float and type(spec.promote_prob) is float
+        assert type(CascadeFilter((2, 4), window_fraction=good).window_fraction) is float
 
 
 def test_engine_constructors_reject_bad_capacities():
     engines = (CascadeFilter, BiDiFilter, BiDiFilterUnited, Promote, Demote, NaiveLRU)
     for engine in engines:
-        for caps in ((2, 4.5), (2.0, 4), (2, 0), (4,)):
+        for caps in ((2, 4.5), (2.0, 4), (2, 0), (4,), (True, 4)):
             with pytest.raises(ValueError):
                 engine(caps)
+        with pytest.raises(ValueError, match="level_capacities"):
+            engine(5)
         assert engine((np.int64(2), np.int64(4))).n_levels == 2
 
 
 def test_seeds_must_be_integers():
     # a seed is refused at construction unless it is an integer; numpy
     # integers are stored as Python ints, as capacities are
-    for bad in (1.5, "3", None):
+    for bad in (1.5, "3", None, True):
         for kind in ("BiDiFilter", "BiDiFilterUnited", "Demote", "NaiveLRU", "Promote"):
             with pytest.raises(ValueError, match="rng_seed"):
                 PolicySpec(kind, (2, 4), rng_seed=bad)

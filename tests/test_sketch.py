@@ -34,6 +34,8 @@ def test_config_validation():
     ("depth", 2.0),
     ("width", 64.0),
     ("sample_size", "50"),
+    ("sample_size", True),
+    ("depth", True),
 ])
 def test_config_fields_must_be_integers(field, value):
     fields = {"sample_size": 50, "tracked_capacity": 5, "depth": 2, "width": 64,

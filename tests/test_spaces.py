@@ -38,7 +38,7 @@ def test_lru_errors():
 
 @pytest.mark.parametrize("space", [LruSpace, SlruSpace])
 def test_capacity_must_be_an_integer(space):
-    for bad in (2.5, 2.0, -1, "3", None):
+    for bad in (2.5, 2.0, -1, "3", None, True, False):
         with pytest.raises(ValueError, match="capacity must be an integer >= 0"):
             space(bad)
     for good in (0, 3, np.int64(3), np.uint8(3)):

@@ -41,6 +41,10 @@ def test_spec_validation():
         ("skew", float("inf")),
         ("recency", 1.5),
         ("recency", -0.1),
+        ("length", True),
+        ("ground_set", True),
+        ("recency", True),
+        ("skew", False),
     ]:
         with pytest.raises(ValueError):
             SyntheticSpec(**{**good, field: bad})
@@ -50,7 +54,7 @@ def test_spec_validation():
             with pytest.raises(ValueError, match=field):
                 SyntheticSpec(**{**good, field: bad})
     # the seed is an integer >= 0, checked before the first draw
-    for bad in (1.5, "3", None, -1):
+    for bad in (1.5, "3", None, -1, True):
         with pytest.raises(ValueError, match="rng_seed"):
             SyntheticSpec(**good, rng_seed=bad)
 
