@@ -1,4 +1,9 @@
-"""Command line front end: simulate one cell or sweep a grid."""
+"""Command line front end: ``run`` simulates one cell, ``sweep`` a grid.
+
+Both take the same flags and build one ``SweepSpec``.  ``--policy``,
+``--l2-pct`` and ``--l1-ratio`` are comma lists, of one value each under
+``run``.  An input error found after argument parsing exits 1.
+"""
 
 from __future__ import annotations
 
@@ -47,33 +52,13 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     return tuple(_number(float, v, flag) for v in text.split(","))
 
 
-def _add_common(sub: argparse.ArgumentParser, multi_policy: bool) -> None:
-    if multi_policy:
-        sub.add_argument(
-            "--policy", default="BiDiFilter",
-            help=f"comma separated policy names from {', '.join(KINDS)}",
-        )
-        sub.add_argument(
-            "--l2-pct", default="0.1,0.5,1.0",
-            help="comma separated L2 sizes as fractions of distinct keys",
-        )
-        sub.add_argument(
-            "--l1-ratio", default="0.1",
-            help="comma separated L1:L2 size ratios",
-        )
-    else:
-        sub.add_argument(
-            "--policy", default="BiDiFilter", choices=KINDS,
-            help="policy to simulate",
-        )
-        sub.add_argument(
-            "--l2-pct", type=float, default=0.5,
-            help="L2 size as a fraction of distinct keys",
-        )
-        sub.add_argument(
-            "--l1-ratio", type=float, default=0.1,
-            help="L1 size as a fraction of L2",
-        )
+def _add_common(sub: argparse.ArgumentParser, l2_pct: str) -> None:
+    sub.add_argument("--policy", default="BiDiFilter",
+                     help=f"policies from {', '.join(KINDS)}; comma list, one for run")
+    sub.add_argument("--l2-pct", default=l2_pct,
+                     help="L2 sizes as fractions of distinct keys; comma list, one for run")
+    sub.add_argument("--l1-ratio", default="0.1",
+                     help="L1:L2 size ratios; comma list, one for run")
     sub.add_argument("--window", type=float, default=PolicySpec.window_fraction,
                      help="fraction of L1 given to the window space")
     sub.add_argument("--tie", choices=TIE_BREAKS, default=PolicySpec.tie_break,
@@ -106,9 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     run_p = subs.add_parser("run", help="simulate a single policy and geometry")
-    _add_common(run_p, multi_policy=False)
+    _add_common(run_p, l2_pct="0.5")
+    run_p.set_defaults(jobs=1)
     sweep_p = subs.add_parser("sweep", help="cross policies with geometries")
-    _add_common(sweep_p, multi_policy=True)
+    _add_common(sweep_p, l2_pct="0.1,0.5,1.0")
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes for independent cells")
     return parser
@@ -125,12 +111,6 @@ def _template(kind: str, args) -> PolicySpec:
     )
 
 
-def _trace_source(args):
-    if args.synthetic is not None:
-        return _parse_synthetic(args.synthetic, args.seed)
-    return args.trace
-
-
 def _latency(args) -> LatencyParams:
     latency = _parse_latency(args.latency) if args.latency else LatencyParams()
     covered = len(latency.level_ns)
@@ -144,42 +124,33 @@ def _latency(args) -> LatencyParams:
     return latency
 
 
-def _sweep_spec(args, kinds, l2_size_percents, l1_ratios) -> SweepSpec:
-    return SweepSpec(
-        trace_source=_trace_source(args),
-        policies=tuple(_template(kind, args) for kind in kinds),
-        l2_size_percents=l2_size_percents,
-        l1_ratios=l1_ratios,
+def _simulate(args) -> int:
+    """Write the rows of the sweep the flags describe.  ``run`` is a
+    one-cell sweep: it takes one value per grid flag."""
+    sweep = SweepSpec(
+        l2_size_percents=_parse_floats(args.l2_pct, "--l2-pct"),
+        l1_ratios=_parse_floats(args.l1_ratio, "--l1-ratio"),
+        trace_source=(args.trace if args.synthetic is None
+                      else _parse_synthetic(args.synthetic, args.seed)),
+        policies=tuple(_template(kind.strip(), args) for kind in args.policy.split(",")),
         latency=_latency(args),
         master_seed=args.seed,
         n_levels=args.levels,
     )
-
-
-def _cmd_run(args) -> int:
-    # a one-cell sweep: same geometry resolution, seed and checks
-    sweep = _sweep_spec(args, (args.policy,), (args.l2_pct,), (args.l1_ratio,))
-    write_rows(run_sweep(sweep), args.out, args.format)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    kinds = tuple(k.strip() for k in args.policy.split(","))
-    sweep = _sweep_spec(
-        args, kinds, _parse_floats(args.l2_pct, "--l2-pct"),
-        _parse_floats(args.l1_ratio, "--l1-ratio"),
-    )
+    cells = len(sweep.policies) * len(sweep.l2_size_percents) * len(sweep.l1_ratios)
+    if args.command == "run" and cells > 1:
+        raise ValueError(
+            f"run simulates one cell, not {cells}: give --policy, --l2-pct and "
+            "--l1-ratio one value each, or use sweep for a grid"
+        )
     write_rows(run_sweep(sweep, jobs=args.jobs), args.out, args.format)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_sweep(args)
+        return _simulate(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

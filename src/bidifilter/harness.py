@@ -273,6 +273,10 @@ class SweepSpec:
         object.__setattr__(self, "n_levels", integer("n_levels", self.n_levels, 2))
         object.__setattr__(self, "master_seed", integer("master_seed", self.master_seed))
         check_latency_covers(self.latency, self.n_levels, "sweep")
+        # a template that cannot run at this depth fails here, before
+        # run_sweep reads the trace
+        for template in self.policies:
+            replace(template, level_capacities=(1,) * self.n_levels)
 
 
 def trace_label(source) -> str:

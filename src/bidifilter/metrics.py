@@ -97,6 +97,7 @@ class SimStats:
         return self._tally(HIT_L1_VETERANS)
 
     def hits_at(self, level: int) -> int:
+        level = integer("level", level)
         if not 1 <= level <= self.n_levels:
             raise ValueError(f"no such level: {level}")
         if level == 1:
@@ -104,6 +105,7 @@ class SimStats:
         return self._tally(hit_at_level(level))
 
     def writes_at(self, level: int) -> int:
+        level = integer("level", level)
         if not 1 <= level <= self.n_levels:
             raise ValueError(f"no such level: {level}")
         return sum(n * count for o, n in self.counts.items()

@@ -149,7 +149,8 @@ class PolicySpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown policy kind: {self.kind!r}")
+            raise ValueError(
+                f"unknown policy kind: {self.kind!r}; choose from {', '.join(KINDS)}")
         object.__setattr__(
             self, "level_capacities", _check_level_capacities(self.level_capacities)
         )

@@ -136,7 +136,7 @@ class FrequencySketch:
 
     def __init__(self, config: SketchConfig, seed: int = 0):
         self.config = config
-        self._seed = mix64(seed)
+        self._seed = mix64(integer("seed", seed))
         # keyed once here; a string hashes from a copy of this state
         self._blake = hashlib.blake2b(digest_size=8, key=self._seed.to_bytes(8, "little"))
         self._cap = config.counter_cap

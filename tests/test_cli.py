@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bidifilter import harness
+from bidifilter import KINDS, harness
 from bidifilter.cli import _parse_latency, _parse_synthetic, build_parser, main
 from bidifilter.harness import RESULT_FIELDS
 
@@ -213,6 +213,11 @@ def test_sweep_unknown_policy_errors(capsys):
     )
     assert code == 1
     assert "Bogus" in err
+    # both commands refuse it alike, and list the kinds there are
+    for command, policy in (("sweep", "BiDiFilter,Bogus"), ("run", "Bogus")):
+        code, out, err = run_cli(capsys, command, "--synthetic", SYN, "--policy", policy)
+        assert code == 1 and out == ""
+        assert err == f"error: unknown policy kind: 'Bogus'; choose from {', '.join(KINDS)}\n"
 
 
 @pytest.mark.parametrize("args, fragment", [
@@ -220,7 +225,9 @@ def test_sweep_unknown_policy_errors(capsys):
     (("run", "--synthetic", SYN, "--latency", "1,x"), "--latency: 'x' is not a number"),
     (("sweep", "--synthetic", SYN, "--l2-pct", "0.1,abc"), "--l2-pct: 'abc' is not a number"),
     (("sweep", "--synthetic", SYN, "--l1-ratio", "0.1,"), "--l1-ratio: '' is not a number"),
-], ids=["synthetic", "latency", "l2-pct", "l1-ratio"])
+    (("run", "--synthetic", SYN, "--l2-pct", "abc"), "--l2-pct: 'abc' is not a number"),
+    (("run", "--synthetic", SYN, "--l1-ratio", "x"), "--l1-ratio: 'x' is not a number"),
+], ids=["synthetic", "latency", "l2-pct", "l1-ratio", "run-l2-pct", "run-l1-ratio"])
 def test_unparsable_numbers_name_their_flag(capsys, args, fragment):
     code, out, err = run_cli(capsys, *args)
     assert code == 1 and out == ""
@@ -244,6 +251,25 @@ def test_run_refuses_non_finite_values_before_any_replay(capsys, monkeypatch, ar
     assert code == 1 and out == ""
     assert err.startswith("error: ") and fragment in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, values", [
+    ("--policy", "BiDiFilter,Demote"), ("--l2-pct", "0.1,0.5"), ("--l1-ratio", "0.1,0.2"),
+])
+def test_run_refuses_a_list_and_points_to_sweep(capsys, flag, values):
+    code, out, err = run_cli(capsys, "run", "--synthetic", SYN, flag, values)
+    assert code == 1 and out == ""
+    assert err.startswith("error: run simulates one cell, not 2") and "use sweep" in err
+
+
+def test_run_writes_the_bytes_of_a_one_cell_sweep(capsys):
+    # run parses its values as sweep does, spaces around a name included
+    cell = ("--synthetic", SYN, "--policy", " Promote", "--l2-pct", "0.3",
+            "--l1-ratio", "0.2", "--seed", "6")
+    for fmt in ("csv", "jsonl"):
+        _, run_out, _ = run_cli(capsys, "run", *cell, "--format", fmt)
+        _, sweep_out, _ = run_cli(capsys, "sweep", *cell, "--jobs", "1", "--format", fmt)
+        assert run_out == sweep_out and run_out
 
 
 def test_sweep_refuses_deep_united_before_any_replay(capsys, monkeypatch):

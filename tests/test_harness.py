@@ -314,6 +314,23 @@ def test_run_sweep_rejects_jobs_below_one(jobs, monkeypatch):
         run_sweep(sweep_fixture(), jobs=jobs)
 
 
+def test_deep_united_sweep_is_refused_before_its_trace_is_opened(monkeypatch):
+    # a template that cannot run at the sweep's depth fails when the
+    # sweep is built, so no trace is read for it
+    opened = []
+
+    def counted(source):
+        opened.append(source)
+        return open_trace(source)
+
+    monkeypatch.setattr(harness, "open_trace", counted)
+    three = LatencyParams((100.0, 200_000.0, 500_000.0))
+    with pytest.raises(ValueError, match="BiDiFilterUnited supports exactly two levels"):
+        run_sweep(sweep_fixture(policies=(PolicySpec("BiDiFilterUnited", (1, 1)),),
+                                latency=three, n_levels=3))
+    assert opened == []
+
+
 def test_run_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
     started = []
 

@@ -88,11 +88,14 @@ def test_simstats_counting_and_closure():
 def test_simstats_level_range_errors():
     s = SimStats(2)
     s.add(AccessOutcome(MISS, ((1, 1),)))
-    for bad in (0, 3, -1):
+    s.add(AccessOutcome(HIT_L2, ((1, 1),)))
+    for bad in (0, 3, -1, True, 2.0, np.float64(2.0), 1.5, "2", None):
         with pytest.raises(ValueError):
             s.hits_at(bad)
         with pytest.raises(ValueError):
             s.writes_at(bad)
+    assert (s.hits_at(np.int64(2)), s.writes_at(np.int64(1))) == (s.hits_at(2), s.writes_at(1))
+    assert (s.hits_at(2), s.writes_at(1)) == (1, 2)
     for bad in (0, 2.5, 2.0, "2", None, True):
         with pytest.raises(ValueError, match="n_levels"):
             SimStats(bad)

@@ -26,6 +26,15 @@ def test_config_validation():
         SketchConfig(sample_size=10, tracked_capacity=4, width=24)  # not a power of two
     with pytest.raises(ValueError):
         SketchConfig(sample_size=10, tracked_capacity=1, depth=0)
+    for bad in (1.5, "3", True, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            FrequencySketch(SketchConfig(10, 1), seed=bad)
+    # a numpy int seed is the Python int it equals
+    sketches = [FrequencySketch(SketchConfig(40, 4), seed=s) for s in (7, np.int64(7))]
+    for sk in sketches:
+        for key in (1, 2, 2, "a", 3):
+            sk.record(key)
+    assert (sketches[0].counters == sketches[1].counters).all()
 
 
 @pytest.mark.parametrize("field, value", [
