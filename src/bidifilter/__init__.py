@@ -16,7 +16,6 @@ from .harness import (
     write_rows_jsonl,
 )
 from .metrics import (
-    FAST_MISS_LATENCY,
     LatencyParams,
     SimStats,
     avg_read_latency,
@@ -49,7 +48,6 @@ from .workload import (
     expand_chunks,
     generate_synthetic,
     ingest_trace,
-    stream_digest,
     zipf_cumulative,
 )
 
@@ -57,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessOutcome", "BiDiFilter", "BiDiFilterUnited", "CascadeFilter",
-    "CompiledTrace", "Demote", "FAST_MISS_LATENCY", "FrequencySketch",
+    "CompiledTrace", "Demote", "FrequencySketch",
     "HIT_L1_VETERANS", "HIT_L1_WINDOW", "HIT_L2", "KINDS",
     "LatencyParams", "LruSpace", "MISS", "NaiveLRU", "PolicySpec",
     "Promote", "RESULT_FIELDS", "ResultRow", "SimStats", "SketchConfig",
@@ -66,6 +64,6 @@ __all__ = [
     "count_uniques", "derive_seed", "expand_chunks", "generate_synthetic",
     "hit_at_level", "hit_ratio", "ingest_trace",
     "level_capacities_for", "lru_profile", "make_policy", "mix64", "run_single",
-    "run_sweep", "stream_digest", "trace_label", "write_rows",
+    "run_sweep", "trace_label", "write_rows",
     "write_rows_csv", "write_rows_jsonl", "zipf_cumulative",
 ]

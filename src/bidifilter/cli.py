@@ -2,7 +2,8 @@
 
 Both take the same flags and build one ``SweepSpec``.  ``--policy``,
 ``--l2-pct`` and ``--l1-ratio`` are comma lists, of one value each under
-``run``.  An input error found after argument parsing exits 1.
+``run``.  Every number is parsed after argparse, so any bad value exits
+1 with one ``error:`` line, which names the flag of a malformed number.
 """
 
 from __future__ import annotations
@@ -59,15 +60,15 @@ def _add_common(sub: argparse.ArgumentParser, l2_pct: str) -> None:
                      help="L2 sizes as fractions of distinct keys; comma list, one for run")
     sub.add_argument("--l1-ratio", default="0.1",
                      help="L1:L2 size ratios; comma list, one for run")
-    sub.add_argument("--window", type=float, default=PolicySpec.window_fraction,
+    sub.add_argument("--window", default=PolicySpec.window_fraction,
                      help="fraction of L1 given to the window space")
     sub.add_argument("--tie", choices=TIE_BREAKS, default=PolicySpec.tie_break,
                      help="filter behavior on equal frequency estimates")
-    sub.add_argument("--promote-p", type=float, default=PolicySpec.promote_prob,
+    sub.add_argument("--promote-p", default=PolicySpec.promote_prob,
                      help="Promote: probability an L2 hit moves up")
-    sub.add_argument("--promote-q", type=float, default=PolicySpec.demote_prob,
+    sub.add_argument("--promote-q", default=PolicySpec.demote_prob,
                      help="Promote: probability a demoted victim is written")
-    sub.add_argument("--levels", type=int, default=2,
+    sub.add_argument("--levels", default=2,
                      help="number of cache levels")
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--synthetic", metavar="LEN:GROUND:SKEW:RECENCY",
@@ -76,7 +77,7 @@ def _add_common(sub: argparse.ArgumentParser, l2_pct: str) -> None:
                      help="replay a trace file (key[,size_bytes] per line)")
     sub.add_argument("--latency", metavar="T_L1,...,T_MISS", default=None,
                      help="per-level access costs plus miss cost, in ns")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", default=0,
                      help="master seed for all randomness")
     sub.add_argument("--out", default="-",
                      help="output path, or - for stdout")
@@ -95,9 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(jobs=1)
     sweep_p = subs.add_parser("sweep", help="cross policies with geometries")
     _add_common(sweep_p, l2_pct="0.1,0.5,1.0")
-    sweep_p.add_argument("--jobs", type=int, default=1,
+    sweep_p.add_argument("--jobs", default=1,
                          help="worker processes for independent cells")
     return parser
+
+
+_NUMBERS = (("--window", float), ("--promote-p", float), ("--promote-q", float),
+            ("--levels", int), ("--seed", int), ("--jobs", int))
+
+
+def _parse_numbers(args) -> None:
+    """Replace each numeric flag's text on ``args`` with its value.
+    argparse parses no number, so a malformed one fails here by name."""
+    for flag, parse in _NUMBERS:
+        dest = flag[2:].replace("-", "_")
+        setattr(args, dest, _number(parse, getattr(args, dest), flag))
 
 
 def _template(kind: str, args) -> PolicySpec:
@@ -127,6 +140,7 @@ def _latency(args) -> LatencyParams:
 def _simulate(args) -> int:
     """Write the rows of the sweep the flags describe.  ``run`` is a
     one-cell sweep: it takes one value per grid flag."""
+    _parse_numbers(args)
     sweep = SweepSpec(
         l2_size_percents=_parse_floats(args.l2_pct, "--l2-pct"),
         l1_ratios=_parse_floats(args.l1_ratio, "--l1-ratio"),

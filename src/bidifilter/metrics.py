@@ -50,11 +50,6 @@ def check_latency_covers(latency: LatencyParams, n_levels: int, what: str) -> No
         )
 
 
-# DRAM-vs-flash style alternative where misses are cheap reads from the
-# backing store but L2 writes still hurt.
-FAST_MISS_LATENCY = LatencyParams(level_ns=(2.0, 200_000.0), miss_ns=100.0)
-
-
 class SimStats:
     """A histogram of the outcomes of one simulated trace replay.
 

@@ -5,8 +5,10 @@ repetition: each event either re-emits one of the last few keys or draws
 a fresh rank from the Zipf law.  It is generated one block of events
 at a time in numpy: the block's uniform draws come first, then every
 re-emitted key is traced back to the Zipf draw it copies by pointer
-jumping over an array of source indexes.  The generator is lazy and
-yields Python ints, so its memory stays one block whatever the length.
+jumping over an array of source indexes.  Every uniform is still drawn,
+but only the Zipf events' ranks are looked up, in sorted order.  The
+generator is lazy and yields Python ints, so its memory stays one block
+whatever the length.
 Trace files are plain text, one access per line, with optional byte
 sizes that expand into per-chunk keys.  They are read one block of
 lines at a time, and each distinct line of a block is parsed and
@@ -15,7 +17,6 @@ expanded once, so a repeated access costs one dict lookup.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -84,6 +85,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Iterator[int]:
     an array of source indexes over the previous block's last
     ``RECENT_BUFFER`` keys and this block's events, jumped (``src =
     src[src]``) until every index names a Zipf event or a carried key.
+    So only the Zipf events need a rank: their scaled uniforms are
+    sorted, looked up in the cumulative table in one ascending
+    ``searchsorted``, and the ranks scattered back to their events.  A
+    recent-branch event's Zipf uniform is drawn but never looked up.
     A repeat yields the very int object it repeats, as a per-event loop
     would.  The generator stays lazy, holding one block at a time.
     ``oracles.reference_synthetic_stream`` gives the same keys one event
@@ -97,7 +102,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Iterator[int]:
     while emitted < spec.length:
         n = min(_BLOCK, spec.length - emitted)
         u_branch = rng.random(n)
-        zipf_keys = np.searchsorted(cum, rng.random(n) * total, side="right") + 1
+        u_zipf = rng.random(n)
         picks = rng.integers(0, RECENT_BUFFER, size=n)
         took_recent = u_branch < spec.recency
         took_recent[: max(0, RECENT_BUFFER - emitted)] = False  # the buffer fills first
@@ -111,23 +116,21 @@ def generate_synthetic(spec: SyntheticSpec) -> Iterator[int]:
             if np.array_equal(jumped, src):
                 break
             src = jumped
-        # one int object per Zipf draw, shared by every event that repeats it
+        # src names only Zipf events and carried keys, so only Zipf events
+        # get a rank.  Sorted queries keep searchsorted's probes of the
+        # table in cache; equal uniforms get equal ranks, so the sort kind
+        # does not matter.  One int object per Zipf draw, shared by every
+        # event that repeats it.
+        fresh = np.flatnonzero(~took_recent)
+        targets = u_zipf[fresh] * total
+        order = np.argsort(targets)
         pool = np.empty(h + n, dtype=object)
         pool[:h] = carried
-        pool[h:] = zipf_keys
+        pool[h + fresh[order]] = np.searchsorted(cum, targets[order], side="right") + 1
         keys = pool[src[h:]].tolist()
         carried = keys[-RECENT_BUFFER:]
         emitted += n
         yield from keys
-
-
-def stream_digest(keys: Iterable) -> str:
-    """SHA-256 over the key reprs; lets tests compare streams cheaply."""
-    h = hashlib.sha256()
-    for key in keys:
-        h.update(repr(key).encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 class TraceFormatError(ValueError):

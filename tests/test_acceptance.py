@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from bidifilter import (
-    FAST_MISS_LATENCY,
     AccessOutcome,
     CascadeFilter,
     CompiledTrace,
@@ -452,6 +451,7 @@ def test_latency_formulas_match_hand_values(capsys):
     default = LatencyParams()
     three = LatencyParams((100.0, 200_000.0, 500_000.0), 2_000_000.0)
     fractional = LatencyParams((0.5, 1000.0), 1.5)
+    fast_miss = LatencyParams((2.0, 200_000.0), 100.0)  # cheap misses, costly L2 writes
     fixtures = [
         # (stats, params, expected_read_ns, expected_rw_ns)
         (_stats_from(h_l1=50, h_l2=30, misses=20, w_l1=100, w_l2=10),
@@ -463,7 +463,7 @@ def test_latency_formulas_match_hand_values(capsys):
          default, 2_200_100 / 3, 2_400_200 / 3),
         (_stats_from(h_l1=7, h_l2=3, misses=90, w_l1=95, w_l2=2),
          default, 1_806_007.0, 1_810_102.0),
-        (_stats_from(misses=5, w_l1=5), FAST_MISS_LATENCY, 100.0, 102.0),
+        (_stats_from(misses=5, w_l1=5), fast_miss, 100.0, 102.0),
         (_stats_from(h_l1=10, h_l2=5, h_l3=5, w_l3=2, n_levels=3),
          three, 175_050.0, 225_050.0),
         (_stats_from(h_l1=3, h_l2=1, misses=2),

@@ -234,6 +234,31 @@ def test_unparsable_numbers_name_their_flag(capsys, args, fragment):
     assert err == f"error: {fragment}\n"
 
 
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("run", "sweep")
+      for flag in ("--window", "--promote-p", "--promote-q", "--levels", "--seed")),
+    ("sweep", "--jobs"),
+])
+def test_malformed_numeric_flag_exits_1_naming_it(capsys, command, flag):
+    # argparse parses no number, so these fail as --l2-pct and --latency do
+    integer = flag in ("--levels", "--seed", "--jobs")
+    what = "an integer" if integer else "a number"
+    for text in ("abc", "", "2.0" if integer else "0.1,0.2"):
+        code, out, err = run_cli(capsys, command, "--synthetic", SYN, f"{flag}={text}")
+        assert code == 1 and out == ""
+        assert err == f"error: {flag}: {text!r} is not {what}\n"
+
+
+def test_parsed_numbers_reach_the_row(capsys):
+    _, out, _ = run_cli(capsys, "run", "--synthetic", SYN, "--window", "0.25", "--seed", "3")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["window_fraction"] == "0.25" and row["trace_id"].endswith("-seed3")
+    promote = ("run", "--synthetic", SYN, "--policy", "Promote")
+    _, default, _ = run_cli(capsys, *promote)
+    _, skewed, _ = run_cli(capsys, *promote, "--promote-p", "0.1", "--promote-q", "0.9")
+    assert skewed != default
+
+
 @pytest.mark.parametrize("args, fragment", [
     (("--synthetic", "2000:50:0.8:0.1", "--latency", "100,inf,2000000"),
      "latencies must be finite and positive"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidifilter import workload
 from bidifilter.oracles import (
@@ -21,9 +24,17 @@ from bidifilter.workload import (
     expand_chunks,
     generate_synthetic,
     ingest_trace,
-    stream_digest,
     zipf_cumulative,
 )
+
+
+def stream_digest(keys) -> str:
+    """SHA-256 over the key reprs; compares streams cheaply."""
+    h = hashlib.sha256()
+    for key in keys:
+        h.update(repr(key).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def test_spec_validation():
@@ -146,6 +157,23 @@ def test_stream_matches_reference(length):
         keys = list(generate_synthetic(spec))
         assert keys == reference_synthetic_stream(spec)[0], spec
         assert all(type(k) is int for k in keys)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    # up to two whole blocks and a ragged third, often just past a block edge
+    length=st.integers(1, 20_000) | st.integers(_BLOCK + 1, 2 * _BLOCK + 10),
+    ground_set=st.integers(1, 5_000),
+    skew=st.floats(0.0, 1.5),
+    recency=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    seed=st.integers(min_value=0),
+)
+def test_stream_matches_reference_property(length, ground_set, skew, recency, seed):
+    # the generator ranks only Zipf events, in sorted order; the reference
+    # ranks every event in draw order
+    spec = SyntheticSpec(length=length, ground_set=ground_set, skew=skew,
+                         recency=recency, rng_seed=seed)
+    assert list(generate_synthetic(spec)) == reference_synthetic_stream(spec)[0]
 
 
 def test_block_opening_repeats_match_reference():
