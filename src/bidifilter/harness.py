@@ -238,8 +238,9 @@ class SweepSpec:
     policies are PolicySpec templates; their level_capacities and
     rng_seed are replaced per cell.  l2_size_percents are fractions of
     the trace's distinct-key count; l1_ratios are L1:L2 size ratios.
-    n_levels and master_seed are integers; levels beyond two extend the
-    hierarchy geometrically with the same ratio.
+    n_levels and master_seed are integers; every kind runs at any
+    n_levels, and levels beyond two extend the hierarchy geometrically
+    with the same ratio.
     """
 
     trace_source: SyntheticSpec | str | Path
@@ -273,10 +274,6 @@ class SweepSpec:
         object.__setattr__(self, "n_levels", integer("n_levels", self.n_levels, 2))
         object.__setattr__(self, "master_seed", integer("master_seed", self.master_seed))
         check_latency_covers(self.latency, self.n_levels, "sweep")
-        # a template that cannot run at this depth fails here, before
-        # run_sweep reads the trace
-        for template in self.policies:
-            replace(template, level_capacities=(1,) * self.n_levels)
 
 
 def trace_label(source) -> str:

@@ -20,10 +20,11 @@ The cache is exclusive: a key lives in at most one space at a time.
 
 One engine, ``CascadeFilter``, runs this scheme over any number of
 levels (a filter between every adjacent pair), and ``make_policy``
-builds it for both filtered kinds.  ``BiDiFilter`` is its two-level
-shorthand; ``BiDiFilterUnited`` is the two-level shorthand whose window
-takes all of L1 (``window_fraction=1``).  ``oracles.reference_filter_outcomes``
-restates the scheme with python lists as the tests' reference.
+builds it for both filtered kinds at any depth: ``BiDiFilterUnited`` is
+the engine whose window takes all of L1 (``window_fraction=1``).  The
+``BiDiFilter`` and ``BiDiFilterUnited`` classes are its two-level
+shorthands.  ``oracles.reference_filter_outcomes`` restates the scheme
+with python lists as the tests' reference.
 
 Writes are accounted per level: an insert into a level coming from
 outside that level costs one write; recency updates within a level are
@@ -133,6 +134,7 @@ def _check_exclusive(spaces) -> None:
 class PolicySpec:
     """Declarative description of a policy instance.
 
+    Every kind runs at any depth of two levels or more.
     window_fraction and tie_break only apply to the filtered kinds;
     promote_prob/demote_prob only to Promote.  rng_seed, an integer,
     feeds the sketch hash seed and Promote's coin flips.  These defaults
@@ -154,8 +156,6 @@ class PolicySpec:
         object.__setattr__(
             self, "level_capacities", _check_level_capacities(self.level_capacities)
         )
-        if self.kind == "BiDiFilterUnited" and self.n_levels != 2:
-            raise ValueError("BiDiFilterUnited supports exactly two levels")
         for name in ("window_fraction", "promote_prob", "demote_prob"):
             object.__setattr__(self, name, _fraction(name, getattr(self, name)))
         _check_tie_break(self.tie_break)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from bidifilter import KINDS, harness
+from bidifilter import KINDS, PolicySpec, harness, level_capacities_for, run_single
 from bidifilter.cli import _parse_latency, _parse_synthetic, build_parser, main
-from bidifilter.harness import RESULT_FIELDS
+from bidifilter.harness import RESULT_FIELDS, open_trace
+from bidifilter.workload import count_uniques
 
 SYN = "3000:80:0.8:0.3"
 
@@ -297,19 +298,27 @@ def test_run_writes_the_bytes_of_a_one_cell_sweep(capsys):
         assert run_out == sweep_out and run_out
 
 
-def test_sweep_refuses_deep_united_before_any_replay(capsys, monkeypatch):
-    def no_replay(*args, **kwargs):
-        raise AssertionError("a cell was replayed")
-
-    monkeypatch.setattr(harness, "run_single", no_replay)
+def test_sweep_runs_every_kind_at_three_levels(capsys):
+    # a BiDiFilterUnited row is the BiDiFilter row at window_fraction 1
+    # with its cell's capacities and seed, at any depth
+    latency = "100,1000,10000,100000"
     code, out, err = run_cli(
-        capsys, "sweep", "--synthetic", SYN,
-        "--policy", "BiDiFilter,BiDiFilterUnited", "--levels", "3",
-        "--latency", "100,1000,10000,100000", "--l2-pct", "0.1,0.5,1.0",
-        "--l1-ratio", "0.1,0.2",
+        capsys, "sweep", "--synthetic", SYN, "--policy", ",".join(KINDS),
+        "--levels", "3", "--latency", latency, "--l2-pct", "0.1,0.5",
+        "--l1-ratio", "0.2", "--format", "jsonl",
     )
-    assert code == 1 and out == ""
-    assert err == "error: BiDiFilterUnited supports exactly two levels\n"
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["policy_name"] for r in rows] == [k for k in KINDS for _ in range(2)]
+    source = _parse_synthetic(SYN, seed=0)
+    uniques, _ = count_uniques(open_trace(source))
+    united = [r for r in rows if r["policy_name"] == "BiDiFilterUnited"]
+    for row, pct in zip(united, (0.1, 0.5)):
+        caps = level_capacities_for(uniques, pct, 0.2, 3)
+        spec = PolicySpec("BiDiFilter", caps, window_fraction=1.0, rng_seed=row["rng_seed"])
+        expected = run_single(spec, open_trace(source), _parse_latency(latency),
+                              row["trace_id"]).as_dict()
+        assert row == dict(expected, policy_name="BiDiFilterUnited", window_fraction=None)
 
 
 def test_out_file_csv_and_jsonl(tmp_path, capsys):

@@ -67,6 +67,23 @@ def test_run_single_marks_inapplicable_knobs_none():
     assert united.h_l1_veterans == 0
 
 
+@pytest.mark.parametrize("caps", [(20, 200, 1000), (10, 50, 200, 800)])
+@pytest.mark.parametrize("tie", ["admit", "reject"])
+def test_deep_united_row_is_bidifilter_at_window_one(caps, tie):
+    # every kind runs at every depth: BiDiFilterUnited is the filtered
+    # engine whose window takes all of L1, in a sweep too
+    latency = LatencyParams((100.0, 200_000.0, 400_000.0, 800_000.0))
+    trace = compile_trace(open_trace(SMALL))
+    united = run_single(PolicySpec("BiDiFilterUnited", caps, tie_break=tie, rng_seed=4),
+                        trace, latency)
+    bidi = run_single(PolicySpec("BiDiFilter", caps, window_fraction=1.0, tie_break=tie,
+                                 rng_seed=4), trace, latency)
+    assert united == replace(bidi, policy_name="BiDiFilterUnited", window_fraction=None)
+    sweep = sweep_fixture(policies=(PolicySpec("BiDiFilterUnited", (1, 1)),),
+                          latency=latency, n_levels=len(caps))
+    assert [row.policy_name for row in run_sweep(sweep)] == ["BiDiFilterUnited"] * 2
+
+
 def test_run_single_rejects_empty_trace():
     for kind in KINDS:
         for empty in (iter(()), compile_trace(())):
@@ -314,23 +331,6 @@ def test_run_sweep_rejects_jobs_below_one(jobs, monkeypatch):
         run_sweep(sweep_fixture(), jobs=jobs)
 
 
-def test_deep_united_sweep_is_refused_before_its_trace_is_opened(monkeypatch):
-    # a template that cannot run at the sweep's depth fails when the
-    # sweep is built, so no trace is read for it
-    opened = []
-
-    def counted(source):
-        opened.append(source)
-        return open_trace(source)
-
-    monkeypatch.setattr(harness, "open_trace", counted)
-    three = LatencyParams((100.0, 200_000.0, 500_000.0))
-    with pytest.raises(ValueError, match="BiDiFilterUnited supports exactly two levels"):
-        run_sweep(sweep_fixture(policies=(PolicySpec("BiDiFilterUnited", (1, 1)),),
-                                latency=three, n_levels=3))
-    assert opened == []
-
-
 def test_run_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
     started = []
 
@@ -455,11 +455,10 @@ def test_compiled_ids_give_the_rows_of_raw_keys(kind, jobs, tmp_path):
     source = _trace_source(kind, tmp_path)
     keys = list(open_trace(source))
     n_levels = 2 if kind == "file" else 3
-    kinds = [k for k in KINDS if n_levels == 2 or k != "BiDiFilterUnited"]
     sweep = sweep_fixture(
         trace_source=source,
         policies=tuple(PolicySpec(k, (1, 1), window_fraction=wf, tie_break=tie)
-                       for k in kinds for wf, tie in ((0.0, "admit"), (0.5, "reject"))),
+                       for k in KINDS for wf, tie in ((0.0, "admit"), (0.5, "reject"))),
         n_levels=n_levels,
         latency=LatencyParams((100.0, 200_000.0, 500_000.0)),
     )

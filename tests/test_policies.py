@@ -78,8 +78,6 @@ def test_policyspec_validation():
         PolicySpec(kind="BiDiFilter", level_capacities=(2, 4), tie_break="maybe")
     with pytest.raises(ValueError):
         PolicySpec(kind="Promote", level_capacities=(2, 4), promote_prob=-0.1)
-    with pytest.raises(ValueError, match="exactly two levels"):
-        PolicySpec(kind="BiDiFilterUnited", level_capacities=(2, 4, 8))
     # a fraction that is no number is refused by name, not by a TypeError
     for bad in ("0.5", None, (0.5,)):
         with pytest.raises(ValueError, match="window_fraction"):
@@ -384,7 +382,8 @@ def test_filtered_kinds_match_list_reference():
              for n in (2, 3, 4)
              for wf in (0.0, 0.25, 0.5, 1.0)
              for tie in ("admit", "reject")]
-    cases += [("BiDiFilterUnited", 2, 1.0, tie) for tie in ("admit", "reject")]
+    cases += [("BiDiFilterUnited", n, 1.0, tie)
+              for n in (2, 3, 4) for tie in ("admit", "reject")]
     for kind, n_levels, wf, tie in cases * 2:
         caps = tuple(rnd.randint(1, 8) for _ in range(n_levels))
         seed = rnd.randint(0, 2**32)
