@@ -86,10 +86,12 @@ def reference_filter_outcomes(
     and built like the policy's own; it is recorded into as the keys go by.
 
     It matches the engine only when keys that compare equal also hash
-    alike in the sketch: a hit here re-appends the requesting object,
-    where the engine keeps the one already cached.  Compiling guarantees
-    it: ``harness.compile_trace`` stands one key for every class of equal
-    keys, so feed the reference ``trace.keys[i]`` for each id.
+    alike in the sketch, as ints, bools and integral floats do: a hit
+    here re-appends the requesting object, where the engine keeps the
+    one already cached.  For other equal keys (``(1,)`` and ``(1.0,)``)
+    compiling guarantees it: ``harness.compile_trace`` stands one key for
+    every class of equal keys, so feed the reference ``trace.keys[i]``
+    for each id.
     """
     if len(level_capacities) < 2 or min(level_capacities) < 1:
         raise ValueError("need at least two levels, each of capacity >= 1")
@@ -284,9 +286,10 @@ def reference_sketch_counters(
     """``(counters, estimate)`` after every record into a count-min sketch.
 
     Restates ``FrequencySketch`` with one python list per row.  Every
-    access is hashed from scratch: an int (Python, numpy or bool) through
-    ``mix64`` of its value, a string through keyed blake2b of its UTF-8
-    bytes, anything else through blake2b of ``str(key)``.  A row's
+    access is hashed from scratch: an int (Python, numpy or bool), or a
+    float (Python or numpy) with an integral value, through ``mix64`` of
+    its value, a string through keyed blake2b of its UTF-8 bytes,
+    anything else through blake2b of ``str(key)``.  A row's
     counter index is the top-folded product of that base with the row's
     odd multiplier, masked to the width.  Counters saturate at
     ``config.counter_cap``, and every ``config.sample_size`` records all
@@ -301,6 +304,8 @@ def reference_sketch_counters(
 
     def base(key) -> int:
         if isinstance(key, (int, np.integer)):
+            return mix64(int(key) ^ salt)
+        if isinstance(key, (float, np.floating)) and key.is_integer():
             return mix64(int(key) ^ salt)
         data = (key if isinstance(key, str) else str(key)).encode("utf-8")
         digest = hashlib.blake2b(data, digest_size=8, key=salt.to_bytes(8, "little"))

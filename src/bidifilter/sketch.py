@@ -110,9 +110,11 @@ class FrequencySketch:
     Keys may be ints, Python or numpy alike (hashed with a splitmix64-style
     mixer), or strings (hashed with blake2b keyed by the seed: the sketch
     keys one state up front and hashes each string from a copy of it);
-    any other key hashes as its ``str()``.  Neither path touches Python's
-    salted ``hash()``, so estimates are reproducible across processes.
-    Keys that compare equal can hash apart (1 and 1.0 as "1.0").
+    a float, Python or numpy, with an integral value hashes as the int it
+    equals, and any other key as its ``str()``.  Neither path touches
+    Python's salted ``hash()``, so estimates are reproducible across
+    processes.  Other keys that compare equal can hash apart (``(1,)``
+    and ``(1.0,)``).
 
     A bare sketch hashes its key on every ``record`` and ``estimate``.
     A replay binds its distinct keys up front with ``bind_keys``: each
@@ -159,6 +161,8 @@ class FrequencySketch:
         if not isinstance(key, str):
             if isinstance(key, (int, np.integer)):
                 return mix64(int(key) ^ self._seed)
+            if isinstance(key, (float, np.floating)) and key.is_integer():
+                return mix64(int(key) ^ self._seed)  # 1.0 as the 1 it equals
             key = str(key)
         h = self._blake.copy()
         h.update(key.encode("utf-8"))

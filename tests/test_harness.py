@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidifilter import (
     KINDS,
@@ -498,14 +500,15 @@ def test_equal_keys_of_mixed_types_share_one_id():
                 seen += 1
             assert i < seen
         assert seen == len(trace.keys)
-    first_seen = [trace.keys[i] for i in trace.ids]
+    # the sketch hashes equal ints, bools and integral floats alike, so the
+    # reference replays the raw keys
     for wf, tie in ((0.0, "admit"), (0.5, "reject")):
         caps = (4, 12)
         spec = PolicySpec("BiDiFilter", caps, window_fraction=wf, tie_break=tie,
                           rng_seed=5)
         row = run_single(spec, iter(mixed))
         outcomes = reference_filter_outcomes(
-            first_seen, caps, default_sketch(caps, spec.rng_seed), wf, tie)
+            mixed, caps, default_sketch(caps, spec.rng_seed), wf, tie)
         kinds = collections.Counter(kind for kind, _ in outcomes)
         writes = collections.Counter()
         for _, out in outcomes:
@@ -514,6 +517,31 @@ def test_equal_keys_of_mixed_types_share_one_id():
         assert _row_counts(row) == (
             len(outcomes), kinds["hit_l1_window"], kinds["hit_l1_veterans"],
             kinds["hit_l2"], kinds["miss"], writes[1], writes[2])
+
+
+_EQUAL_NUMBERS = (1, True, 1.0, np.float64(1.0), 2, 2.0, np.float64(2.0), 3, np.float64(3.0),
+                  4, 5, 6, 7, 8, 9)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    length=st.integers(1, 1_500),
+    trace_seed=st.integers(0, 2**32),
+    kind=st.sampled_from(["BiDiFilter", "BiDiFilterUnited"]),
+    caps=st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple),
+    wf=st.sampled_from([0.0, 0.5]),
+    tie=st.sampled_from(["admit", "reject"]),
+    seed=st.integers(0, 2**32),
+)
+def test_raw_keys_of_equal_numbers_give_the_run_single_row(
+        length, trace_seed, kind, caps, wf, tie, seed):
+    # run_single compiles 1, True, 1.0 and np.float64(1.0) to one id; a raw
+    # replay's sketch must count them as one key too
+    rnd = random.Random(trace_seed)
+    keys = [rnd.choice(_EQUAL_NUMBERS) for _ in range(length)]
+    spec = PolicySpec(kind, caps, window_fraction=wf, tie_break=tie, rng_seed=seed)
+    row = run_single(spec, keys, LatencyParams((100.0, 200_000.0, 500_000.0)))
+    assert _row_counts(row) == _bare_counts(spec, keys)
 
 
 def test_lru_profile_matches_reference_stack_distances():

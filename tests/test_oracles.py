@@ -144,7 +144,8 @@ def test_sketch_reference_hand_walkthrough():
     for counters, estimate in snapshots:
         assert len(counters) == 3 and all(len(row) == 8 for row in counters)
         assert all(sum(row) == estimate for row in counters)
-    # 1, True and numpy 1 are the same int; 1.0 hashes as the string "1.0"
-    for same in (True, np.int64(1)):
+    # 1, True, numpy 1 and the integral floats are the same int; 2.5
+    # hashes as the string "2.5"
+    for same in (True, np.int64(1), 1.0, np.float64(1.0), np.float32(1.0)):
         assert reference_sketch_counters([same], cfg, 5) == reference_sketch_counters([1], cfg, 5)
-    assert reference_sketch_counters([1.0], cfg, 5) == reference_sketch_counters(["1.0"], cfg, 5)
+    assert reference_sketch_counters([2.5], cfg, 5) == reference_sketch_counters(["2.5"], cfg, 5)

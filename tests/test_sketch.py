@@ -253,9 +253,9 @@ def _stream(kind, rnd, n):
         return [rnd.choice(("k", "chunk#", "é", "")) + str(rnd.randint(0, 150)) for _ in range(n)]
     if kind == "np.int64":
         return [np.int64(rnd.randint(-40, 150)) for _ in range(n)]
-    # values that compare equal (1, True, np.int64(1), 1.0) but not all hash
-    # alike: 1.0 goes through str() and "1" is a string key
-    mixed = (1, True, np.int64(1), 1.0, "1", 2, "2", 2.0)
+    # values that compare equal (1, True, np.int64(1), 1.0) hash alike; "1"
+    # is a string key, and 2.5, no integral float, goes through str()
+    mixed = (1, True, np.int64(1), 1.0, "1", 2, "2", np.float64(2.0), 2.5)
     return [rnd.choice(mixed) for _ in range(n)]
 
 
