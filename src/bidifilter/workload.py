@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -175,39 +174,38 @@ def ingest_trace(path) -> Iterator[str]:
     with open(path, "r", encoding="utf-8-sig") as fh:
         while lines := fh.readlines(_LINES_HINT):
             memo = dict.fromkeys(lines)  # raw line -> its chunk keys
-            bad = None
-            for raw in memo:
-                line = raw.strip()
-                if "," not in line:
-                    memo[raw] = (line + _CHUNK_SUFFIXES[0],) if line and line[0] != "#" else ()
-                    continue
-                if line[0] == "#":
-                    memo[raw] = ()
-                    continue
-                key, _, size = line.partition(",")
-                if "," in size:
-                    bad = raw, "too many fields"
-                    break
-                key = key.rstrip()
-                if not key:
-                    bad = raw, "empty key"
-                    break
-                try:
-                    size = int(size.strip())
-                except ValueError:
-                    bad = raw, "size is not an integer"
-                    break
-                if size < 0:
-                    bad = raw, "negative size"
-                    break
-                memo[raw] = expand_chunks(key, size)
-            if bad is not None:
-                raw, what = bad
+            try:
+                for raw in memo:
+                    memo[raw] = _chunk_keys(raw.strip())
+            except ValueError as exc:
                 at = lines.index(raw)
                 yield from chain.from_iterable(map(memo.__getitem__, lines[:at]))
-                raise TraceFormatError(f"line {lineno + at + 1}: {what}: {raw.strip()!r}")
+                raise TraceFormatError(
+                    f"line {lineno + at + 1}: {exc}: {raw.strip()!r}") from None
             yield from chain.from_iterable(map(memo.__getitem__, lines))
             lineno += len(lines)
+
+
+def _chunk_keys(line: str):
+    """The chunk keys of a stripped trace line, ``()`` for a blank or
+    comment line; a malformed line raises ValueError saying what is wrong."""
+    if not line or line[0] == "#":
+        return ()
+    key, comma, size = line.partition(",")
+    if not comma:
+        return (line + _CHUNK_SUFFIXES[0],)
+    if "," in size:
+        raise ValueError("too many fields")
+    key = key.rstrip()
+    if not key:
+        raise ValueError("empty key")
+    try:
+        size = int(size.strip())
+    except ValueError:
+        raise ValueError("size is not an integer") from None
+    if size < 0:
+        raise ValueError("negative size")
+    return expand_chunks(key, size)
 
 
 def count_uniques(keys: Iterable) -> tuple[int, int]:
