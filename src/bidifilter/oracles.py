@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from collections import Counter, deque
+from decimal import Decimal
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -86,12 +88,12 @@ def reference_filter_outcomes(
     and built like the policy's own; it is recorded into as the keys go by.
 
     It matches the engine only when keys that compare equal also hash
-    alike in the sketch, as ints, bools and integral floats do: a hit
-    here re-appends the requesting object, where the engine keeps the
-    one already cached.  For other equal keys (``(1,)`` and ``(1.0,)``)
-    compiling guarantees it: ``harness.compile_trace`` stands one key for
-    every class of equal keys, so feed the reference ``trace.keys[i]``
-    for each id.
+    alike in the sketch, as ints, bools and other reals equal to an int
+    do: a hit here re-appends the requesting object, where the engine
+    keeps the one already cached.  For other equal keys (``(1,)`` and
+    ``(1.0,)``) compiling guarantees it: ``harness.compile_trace`` stands
+    one key for every class of equal keys, so feed the reference
+    ``trace.keys[i]`` for each id.
     """
     if len(level_capacities) < 2 or min(level_capacities) < 1:
         raise ValueError("need at least two levels, each of capacity >= 1")
@@ -286,10 +288,11 @@ def reference_sketch_counters(
     """``(counters, estimate)`` after every record into a count-min sketch.
 
     Restates ``FrequencySketch`` with one python list per row.  Every
-    access is hashed from scratch: an int (Python, numpy or bool), or a
-    float (Python or numpy) with an integral value, through ``mix64`` of
-    its value, a string through keyed blake2b of its UTF-8 bytes,
-    anything else through blake2b of ``str(key)``.  A row's
+    access is hashed from scratch: an int (Python or numpy, bools
+    included), or any other finite real number (a ``numbers.Real`` or a
+    ``Decimal``) that equals an int, through ``mix64`` of that int, a
+    string through keyed blake2b of its UTF-8 bytes, anything else
+    through blake2b of ``str(key)``.  A row's
     counter index is the top-folded product of that base with the row's
     odd multiplier, masked to the width.  Counters saturate at
     ``config.counter_cap``, and every ``config.sample_size`` records all
@@ -303,9 +306,15 @@ def reference_sketch_counters(
     rows = [[0] * config.width for _ in range(config.depth)]
 
     def base(key) -> int:
-        if isinstance(key, (int, np.integer)):
+        if isinstance(key, (int, np.integer, np.bool_)):
             return mix64(int(key) ^ salt)
-        if isinstance(key, (float, np.floating)) and key.is_integer():
+        if isinstance(key, Decimal):
+            integral = key.is_finite() and key == key.to_integral_value()
+        elif isinstance(key, numbers.Rational):
+            integral = key.denominator == 1
+        else:
+            integral = isinstance(key, numbers.Real) and math.isfinite(key) and key == int(key)
+        if integral:
             return mix64(int(key) ^ salt)
         data = (key if isinstance(key, str) else str(key)).encode("utf-8")
         digest = hashlib.blake2b(data, digest_size=8, key=salt.to_bytes(8, "little"))

@@ -25,8 +25,10 @@ so no read can tell a skipped increment from a made one.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from array import array
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -36,6 +38,8 @@ _M64 = (1 << 64) - 1
 _MIX1 = 0xFF51AFD7ED558CCD
 _MIX2 = 0xC4CEB9FE1A85EC53
 _GOLDEN = 0x9E3779B97F4A7C15
+_INTS = (int, np.integer, np.bool_)  # hashed as the int they are
+_REALS = (numbers.Real, Decimal)  # hashed as an int when equal to one
 
 
 def mix64(x: int) -> int:
@@ -107,14 +111,17 @@ class FrequencySketch:
     is the saturating sketch's state exactly.
     Between halvings a count grows by at most ``sample_size``.
 
-    Keys may be ints, Python or numpy alike (hashed with a splitmix64-style
-    mixer), or strings (hashed with blake2b keyed by the seed: the sketch
-    keys one state up front and hashes each string from a copy of it);
-    a float, Python or numpy, with an integral value hashes as the int it
-    equals, and any other key as its ``str()``.  Neither path touches
-    Python's salted ``hash()``, so estimates are reproducible across
-    processes.  Other keys that compare equal can hash apart (``(1,)``
-    and ``(1.0,)``).
+    Keys may be ints, Python or numpy alike, bools included (hashed with
+    a splitmix64-style mixer), or strings (hashed with blake2b keyed by
+    the seed: the sketch keys one state up front and hashes each string
+    from a copy of it).  Any other finite real number that equals an int
+    (``1.0``, ``np.float32(2.0)``, ``Decimal(3)``, ``Fraction(4)``)
+    hashes as that int, and any other key as its ``str()``.  Neither
+    path touches Python's salted ``hash()``, so estimates are
+    reproducible across processes.  Some keys that compare equal still
+    hash apart: tuples (``(1,)`` and ``(1.0,)``), complex numbers
+    (``1+0j`` and ``1``), and NaN and infinity in their float, numpy and
+    ``Decimal`` forms.
 
     A bare sketch hashes its key on every ``record`` and ``estimate``.
     A replay binds its distinct keys up front with ``bind_keys``: each
@@ -159,10 +166,16 @@ class FrequencySketch:
 
     def _base(self, key) -> int:
         if not isinstance(key, str):
-            if isinstance(key, (int, np.integer)):
+            if isinstance(key, _INTS):
                 return mix64(int(key) ^ self._seed)
-            if isinstance(key, (float, np.floating)) and key.is_integer():
-                return mix64(int(key) ^ self._seed)  # 1.0 as the 1 it equals
+            if isinstance(key, _REALS):
+                try:
+                    as_int = int(key)
+                except (ValueError, OverflowError):  # NaN or infinity
+                    pass
+                else:
+                    if as_int == key:  # 1.0 as the 1 it equals
+                        return mix64(as_int ^ self._seed)
             key = str(key)
         h = self._blake.copy()
         h.update(key.encode("utf-8"))
@@ -200,20 +213,21 @@ class FrequencySketch:
 
         The table holds one array of counter indexes per row, so a bound
         key costs ``depth`` machine words, plus a list slot for its
-        countdown, which starts at the cap.  A list whose first key is an
-        int, Python or numpy, and that numpy reads as one signed or
-        unsigned integer array is hashed in one vectorized pass.  A list
-        of exact ``str`` keys is hashed one digest per key, from copies of
-        the keyed blake2b state, and the joined digests are read as one
-        array.  Any other list is hashed key by key with ``_base``; an
-        unbound sketch hashes each key as ``record``/``estimate`` see it.
+        countdown, which starts at the cap.  A list of ints only, Python
+        or numpy, that numpy reads as one signed or unsigned integer
+        array is hashed in one vectorized pass.  A list of exact ``str``
+        keys is hashed one digest per key, from copies of the keyed
+        blake2b state, and the joined digests are read as one array.  Any
+        other list is hashed key by key with ``_base``; an unbound sketch
+        hashes each key as ``record``/``estimate`` see it.
         """
+        types = set(map(type, keys))
         arr = None
-        if len(keys) and isinstance(keys[0], (int, np.integer)):
+        if types and all(issubclass(t, (int, np.integer)) for t in types):
             arr = np.asarray(keys)
         if arr is not None and arr.dtype.kind in "iu":
             bases = self._base_many(arr)
-        elif len(keys) and set(map(type, keys)) == {str}:
+        elif types == {str}:
             copy = self._blake.copy
             digests = []
             for key in keys:

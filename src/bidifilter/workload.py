@@ -7,12 +7,15 @@ at a time in numpy: the block's uniform draws come first, then every
 re-emitted key is traced back to the Zipf draw it copies by pointer
 jumping over an array of source indexes.  Every uniform is still drawn,
 but only the Zipf events' ranks are looked up, in sorted order.  The
-generator is lazy and yields Python ints, so its memory stays one block
+stream is lazy and gives Python ints, so its memory stays one block
 whatever the length.
 Trace files are plain text, one access per line, with optional byte
 sizes that expand into per-chunk keys.  They are read one block of
 lines at a time, and each distinct line of a block is parsed and
 expanded once, so a repeated access costs one dict lookup.
+Both streams are ``itertools.chain.from_iterable`` over a generator that
+hands out one whole block per step, so a consumer pulls the keys in C
+rather than through one generator resume per key.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .checks import integer, number
 _BLOCK = 8192
 RECENT_BUFFER = 10  # recently emitted keys a recent-branch event picks from
 CHUNK_BYTES = 4096  # bytes per chunk key of a sized trace access
-_LINES_HINT = 1 << 15  # characters of trace text read per block
+_LINES_HINT = 1 << 17  # characters of trace text read per block
 # chunk i of an access is keyed key + "#i"; the suffixes of the first
 # 256 chunks (1 MiB) are built once
 _CHUNK_SUFFIXES = tuple(f"#{i}" for i in range(256))
@@ -69,7 +72,7 @@ def zipf_cumulative(ground_set: int, skew: float) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Iterator[int]:
-    """Yield the key stream for ``spec``; identical streams per rng_seed.
+    """The key stream for ``spec``; identical streams per rng_seed.
 
     Keys are Python ints in 1..ground_set.  Uniform draws are consumed
     in blocks of ``_BLOCK`` events: branch, Zipf and buffer-pick draws
@@ -88,11 +91,17 @@ def generate_synthetic(spec: SyntheticSpec) -> Iterator[int]:
     sorted, looked up in the cumulative table in one ascending
     ``searchsorted``, and the ranks scattered back to their events.  A
     recent-branch event's Zipf uniform is drawn but never looked up.
-    A repeat yields the very int object it repeats, as a per-event loop
-    would.  The generator stays lazy, holding one block at a time.
-    ``oracles.reference_synthetic_stream`` gives the same keys one event
-    at a time, with each event's branch flag.
+    A repeat is the very int object it repeats, as a per-event loop
+    would give.  The stream chains the blocks' key lists, so it stays
+    lazy, drawing nothing before its first key is asked for and holding
+    one block at a time.  ``oracles.reference_synthetic_stream`` gives
+    the same keys one event at a time, with each event's branch flag.
     """
+    return chain.from_iterable(_synthetic_blocks(spec))
+
+
+def _synthetic_blocks(spec: SyntheticSpec) -> Iterator[list[int]]:
+    """The key list of each block of ``spec``'s stream, in order."""
     rng = np.random.default_rng(spec.rng_seed)
     cum = zipf_cumulative(spec.ground_set, spec.skew)
     total = cum[-1]
@@ -129,7 +138,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Iterator[int]:
         keys = pool[src[h:]].tolist()
         carried = keys[-RECENT_BUFFER:]
         emitted += n
-        yield from keys
+        yield keys
 
 
 class TraceFormatError(ValueError):
@@ -145,8 +154,9 @@ def expand_chunks(key: str, size_bytes: int) -> list[str]:
     if size_bytes < 0:
         raise ValueError("size_bytes must be >= 0")
     n = max(1, -(-size_bytes // CHUNK_BYTES))
-    keys = [key + suffix for suffix in _CHUNK_SUFFIXES[:n]]
-    keys += [f"{key}#{i}" for i in range(len(_CHUNK_SUFFIXES), n)]
+    keys = list(map(key.__add__, _CHUNK_SUFFIXES[:n]))
+    if n > len(_CHUNK_SUFFIXES):
+        keys += [f"{key}#{i}" for i in range(len(_CHUNK_SUFFIXES), n)]
     return keys
 
 
@@ -160,16 +170,25 @@ def ingest_trace(path) -> Iterator[str]:
     one chunk.  A UTF-8 byte-order mark at the start of the file is
     dropped.  Malformed lines raise TraceFormatError naming the line.
 
-    The file is read one block of about ``_LINES_HINT`` characters of
-    whole lines at a time, with universal newlines.  Within a block each
-    distinct line is parsed and expanded once, in first-seen order, and
-    its repeats reuse its keys; then the block's keys are yielded.  So
-    memory stays one block, and the keys of the good lines before a bad
-    one are yielded before its error is raised, as a line-by-line reader
-    would (``oracles.reference_ingest_trace``).  A first-seen bad line is
-    the block's first bad line, since a line parses the same wherever it
-    repeats.
+    The file is read one block of about ``_LINES_HINT`` (128k)
+    characters of whole lines at a time, with universal newlines.  Within
+    a block each distinct line is parsed and expanded once, in first-seen
+    order, and its repeats reuse its keys; then the block's keys are
+    handed out.  So memory stays one block, and the keys of the good
+    lines before a bad one come out before its error is raised, as a
+    line-by-line reader would give them
+    (``oracles.reference_ingest_trace``).  A first-seen bad line is the
+    block's first bad line, since a line parses the same wherever it
+    repeats.  The stream is lazy: the file is opened at the first key
+    asked for, and closed when the stream ends, fails or is dropped.
     """
+    return chain.from_iterable(_trace_blocks(path))
+
+
+def _trace_blocks(path) -> Iterator[Iterator[str]]:
+    """An iterator over the chunk keys of each block of lines of the
+    trace at ``path``; on a bad line, one over the block's good prefix,
+    then the TraceFormatError."""
     lineno = 0  # lines in the blocks before this one
     with open(path, "r", encoding="utf-8-sig") as fh:
         while lines := fh.readlines(_LINES_HINT):
@@ -179,10 +198,10 @@ def ingest_trace(path) -> Iterator[str]:
                     memo[raw] = _chunk_keys(raw.strip())
             except ValueError as exc:
                 at = lines.index(raw)
-                yield from chain.from_iterable(map(memo.__getitem__, lines[:at]))
+                yield chain.from_iterable(map(memo.__getitem__, lines[:at]))
                 raise TraceFormatError(
                     f"line {lineno + at + 1}: {exc}: {raw.strip()!r}") from None
-            yield from chain.from_iterable(map(memo.__getitem__, lines))
+            yield chain.from_iterable(map(memo.__getitem__, lines))
             lineno += len(lines)
 
 

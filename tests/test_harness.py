@@ -8,6 +8,8 @@ import math
 import random
 import re
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -519,8 +521,9 @@ def test_equal_keys_of_mixed_types_share_one_id():
             kinds["hit_l2"], kinds["miss"], writes[1], writes[2])
 
 
-_EQUAL_NUMBERS = (1, True, 1.0, np.float64(1.0), 2, 2.0, np.float64(2.0), 3, np.float64(3.0),
-                  4, 5, 6, 7, 8, 9)
+_EQUAL_NUMBERS = (1, True, 1.0, np.float64(1.0), Decimal(1), Fraction(1), 2, 2.0,
+                  np.float64(2.0), Decimal("2.0"), Fraction(4, 2), 3, np.float64(3.0),
+                  Decimal(3), 4, 5, 6, 7, 8, 9)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -535,13 +538,24 @@ _EQUAL_NUMBERS = (1, True, 1.0, np.float64(1.0), 2, 2.0, np.float64(2.0), 3, np.
 )
 def test_raw_keys_of_equal_numbers_give_the_run_single_row(
         length, trace_seed, kind, caps, wf, tie, seed):
-    # run_single compiles 1, True, 1.0 and np.float64(1.0) to one id; a raw
-    # replay's sketch must count them as one key too
+    # run_single compiles 1, True, 1.0, np.float64(1.0), Decimal(1) and
+    # Fraction(1) to one id; a raw replay's sketch must count them as one
+    # key too
     rnd = random.Random(trace_seed)
     keys = [rnd.choice(_EQUAL_NUMBERS) for _ in range(length)]
     spec = PolicySpec(kind, caps, window_fraction=wf, tie_break=tie, rng_seed=seed)
     row = run_single(spec, keys, LatencyParams((100.0, 200_000.0, 500_000.0)))
     assert _row_counts(row) == _bare_counts(spec, keys)
+
+
+@pytest.mark.parametrize("kind", ["BiDiFilter", "BiDiFilterUnited"])
+def test_ints_mixed_with_tuples_give_the_raw_key_row(kind):
+    # an int first and a tuple later once made bind_keys hand numpy a
+    # ragged list; the compiled run must be the raw-key replay's row
+    spec = PolicySpec(kind, (2, 3))
+    for keys in ([1, (1, 2), 3], [7, (1, 2), 3, 7, (1, 2), 2**70, (1,), 3, 1.0, "x"] * 30):
+        row = run_single(spec, keys, LatencyParams())
+        assert _row_counts(row) == _bare_counts(spec, keys)
 
 
 def test_lru_profile_matches_reference_stack_distances():

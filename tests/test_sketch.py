@@ -1,7 +1,11 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidifilter import FrequencySketch, SketchConfig
 from bidifilter.harness import compile_trace
@@ -253,13 +257,20 @@ def _stream(kind, rnd, n):
         return [rnd.choice(("k", "chunk#", "é", "")) + str(rnd.randint(0, 150)) for _ in range(n)]
     if kind == "np.int64":
         return [np.int64(rnd.randint(-40, 150)) for _ in range(n)]
+    if kind == "numbers":
+        # every finite real equal to an int hashes as that int; NaN,
+        # infinity, complex numbers and non-integral reals through str()
+        numbers = (1, Decimal(1), Fraction(1), np.True_, 2, Decimal("2.0"), Fraction(4, 2),
+                   np.float32(2.0), Fraction(5, 2), Decimal("2.5"), Decimal("NaN"),
+                   float("inf"), Decimal("-Infinity"), 1 + 0j, np.float64("nan"))
+        return [rnd.choice(numbers) for _ in range(n)]
     # values that compare equal (1, True, np.int64(1), 1.0) hash alike; "1"
     # is a string key, and 2.5, no integral float, goes through str()
     mixed = (1, True, np.int64(1), 1.0, "1", 2, "2", np.float64(2.0), 2.5)
     return [rnd.choice(mixed) for _ in range(n)]
 
 
-@pytest.mark.parametrize("kind", ["int", "str", "np.int64", "mixed"])
+@pytest.mark.parametrize("kind", ["int", "str", "np.int64", "mixed", "numbers"])
 def test_scalar_ops_match_reference_after_every_record(kind):
     # each trial drives a bare sketch by key and a bound twin by key id;
     # most records fall on a few hot keys, so keys reach the cap between
@@ -360,3 +371,28 @@ def test_slot_table_matches_scalar_slots():
             j = rnd.randrange(len(keys))
             assert bound.estimate(j) == bare.estimate(keys[j])
         assert (bound.counters == bare.counters).all()
+
+
+_NUMPY_INTS = (st.integers(-(2**63), 2**63 - 1).map(np.int64)
+               | st.integers(0, 2**64 - 1).map(np.uint64)
+               | st.integers(-128, 127).map(np.int8))
+_KEY_KINDS = (
+    st.integers(-(2**70), 2**70),
+    _NUMPY_INTS,
+    st.booleans(),
+    st.integers(-(2**60), 2**60).map(float),
+    st.text(max_size=4),
+    st.tuples(st.integers(0, 3)) | st.tuples(st.integers(0, 3).map(float), st.text(max_size=1)),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(keys=st.lists(st.one_of(*_KEY_KINDS), max_size=30)
+       | st.sampled_from(_KEY_KINDS).flatmap(lambda kind: st.lists(kind, max_size=30)),
+       seed=st.integers(0, 2**64 - 1))
+def test_bound_slot_rows_equal_per_key_slots(keys, seed):
+    # lists of one kind of key take the vectorized or the joined-digest
+    # path; mixed lists, whatever kind comes first, go key by key
+    sk = FrequencySketch(SketchConfig(sample_size=50, tracked_capacity=5, depth=3), seed=seed)
+    sk.bind_keys(keys)
+    assert list(zip(*sk._slot_rows)) == [sk._slots(key) for key in keys]

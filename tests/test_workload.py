@@ -4,6 +4,7 @@ import math
 import random
 import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,6 +209,16 @@ def test_stream_is_lazy():
     assert head == list(generate_synthetic(one_block))[:10]
 
 
+def test_stream_draws_nothing_before_its_first_key():
+    # a stream is built without drawing, and its first key costs one block
+    # whatever the length
+    stream = generate_synthetic(SyntheticSpec(10**12, 1000, 0.8, 0.2))
+    t0 = time.perf_counter()
+    first = next(iter(stream))
+    assert time.perf_counter() - t0 < 1.0
+    assert first == next(generate_synthetic(SyntheticSpec(_BLOCK, 1000, 0.8, 0.2)))
+
+
 def test_first_events_always_zipf_branch():
     spec = SyntheticSpec(length=200, ground_set=10, skew=0.5, recency=1.0, rng_seed=1)
     keys, log = reference_synthetic_stream(spec)
@@ -331,6 +342,36 @@ def test_ingest_trace_is_lazy(tmp_path):
         next(it)
 
 
+def test_ingest_trace_opens_the_file_at_the_first_key(tmp_path):
+    keys = ingest_trace(tmp_path / "missing.trace")
+    with pytest.raises(FileNotFoundError):
+        next(keys)
+
+
+def test_ingest_trace_closes_its_file(tmp_path, monkeypatch):
+    # whether the stream ends, fails, or is stopped early and dropped
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(workload, "open", recording_open, raising=False)
+    trace = tmp_path / "t.trace"
+    trace.write_text("a\nb,9000\n" * 1000 + "bad,x\n")
+    keys = ingest_trace(trace)
+    assert not opened
+    assert list(itertools.islice(keys, 5)) == ["a#0", "b#0", "b#1", "b#2", "a#0"]
+    assert not opened[0].closed
+    del keys
+    assert opened[0].closed
+    assert _drain(ingest_trace(trace))[1] == "line 2001: size is not an integer: 'bad,x'"
+    assert opened[1].closed
+    trace.write_text("a\n")
+    assert list(ingest_trace(trace)) == ["a#0"]
+    assert opened[2].closed
+
+
 def test_ingest_trace_drops_a_byte_order_mark(tmp_path):
     # the mark belongs to the encoding, not to the first line
     trace = tmp_path / "bom.txt"
@@ -393,6 +434,47 @@ def test_ingest_trace_matches_line_by_line_reference(tmp_path, monkeypatch, tria
     assert got == _drain(reference_ingest_trace(trace))
     if trial % 3:
         assert got[1] is not None  # the malformed line was reached
+
+
+_CHUNK_EDGES = [255 * 4096, 255 * 4096 + 1, 256 * 4096 - 1, (1 << 20) + 4096, (1 << 20) + 4097]
+_WS = st.sampled_from(["", "", " ", "\t", "\x0b", "\x1c", "\u2028", "  "])
+_SIZE_FIELD = st.tuples(_WS, st.sampled_from(_SIZES + _CHUNK_EDGES) | st.integers(0, 50_000),
+                        _WS).map(lambda parts: ",%s%d%s" % parts)
+_TRACE_LINE = st.one_of(
+    st.sampled_from(_BLANKS),
+    st.tuples(_WS, st.sampled_from(["# c", "#", "#a,b,c", "# 1,2"])).map("".join),
+    st.tuples(_WS, st.sampled_from(_KEYS) | st.text("ab#é .1", min_size=1, max_size=4), _WS,
+              st.just("") | _SIZE_FIELD).map("".join),
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    pool=st.lists(_TRACE_LINE, min_size=1, max_size=12),
+    picks=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(["\n", "\r\n", "\r"])),
+                   min_size=1, max_size=80),
+    bad=st.none() | st.tuples(st.sampled_from(_BAD), st.integers(0, 80)),
+    last_eol=st.booleans(),
+    hint=st.sampled_from([1, 5, 17, 60, 1 << 15, workload._LINES_HINT]),
+)
+def test_ingest_trace_matches_line_by_line_reference_property(
+        tmp_path_factory, pool, picks, bad, last_eol, hint):
+    # drawn lines of the kinds the enumerated trials mix, sizes on the
+    # 255th and 256th chunk's edges too, repeated within and across blocks
+    # at every drawn block size, the default included
+    lines = [(pool[i % len(pool)], eol) for i, eol in picks]
+    if bad is not None:
+        lines.insert(bad[1] % (len(lines) + 1), (bad[0], "\n"))
+    text = "".join(line + eol for line, eol in lines)
+    if not last_eol:
+        text = text.rstrip("\r\n")
+    trace = tmp_path_factory.getbasetemp() / "property.trace"
+    trace.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(workload, "_LINES_HINT", hint):
+        got = _drain(ingest_trace(trace))
+    assert got == _drain(reference_ingest_trace(trace))
+    if bad is not None:
+        assert got[1] is not None
 
 
 def test_synthetic_feeds_policies_without_surprises():
