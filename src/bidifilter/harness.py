@@ -17,8 +17,9 @@ first use and kept, gives its row at every geometry
 
 A sweep reads and compiles its trace once and runs every cell through
 ``run_single``; under ``jobs > 1`` each worker process receives the
-trace once, when it starts.  A first pass counts distinct keys so
-capacities can be expressed as fractions of the workload's footprint.
+trace once, when it starts.  The compiled trace's distinct keys are
+the workload's footprint, so capacities can be expressed as fractions
+of it.
 Every cell gets its own seed derived from the master seed and the cell
 index, so results are reproducible row for row regardless of execution
 order or parallelism.
@@ -127,8 +128,11 @@ def run_single(
 ) -> ResultRow:
     """The row of one trace through one freshly built policy instance.
 
-    A filtered kind compiles the trace (``compile_trace``) and binds its
-    distinct keys to the policy, so the sketch hashes each key once.
+    A filtered kind compiles the trace (``compile_trace``), binds its
+    distinct keys to the policy, so the sketch hashes each key once, and
+    replays the ids in one loop (``CascadeFilter._replay``); a policy
+    with a stand-in sketch or a ``decision_log`` replays them request by
+    request through ``handle``, so its hooks see every call.
     Demote reads its row off a CompiledTrace's ``profile``, which every
     later Demote row over that trace reuses.  Raw keys, Demote's
     included, are replayed as they come: the replay holds only the
@@ -146,10 +150,11 @@ def run_single(
     stats = SimStats(policy.n_levels)
     if policy_spec.kind == "Demote" and isinstance(trace, CompiledTrace):
         stats.add_all(policy.outcome_counts(*trace.profile))
+    elif policy_spec.kind in _FILTERED_KINDS:
+        trace = compile_trace(trace)
+        policy.bind_keys(trace.keys)
+        stats.add_all(policy._replay(trace.ids))
     else:
-        if policy_spec.kind in _FILTERED_KINDS:
-            trace = compile_trace(trace)
-            policy.bind_keys(trace.keys)
         stats.add_all(map(policy.handle, trace))
     return _result_row(policy_spec, stats, latency, trace_id)
 
@@ -338,9 +343,9 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> list[ResultRow]:
     """
     jobs = integer("jobs", jobs, 1)
     trace = compile_trace(open_trace(sweep.trace_source))
-    uniques, accesses = count_uniques(trace)
-    if accesses == 0:
+    if not len(trace.ids):
         raise ValueError("trace is empty")
+    uniques, _ = count_uniques(trace.keys)
     label = trace_label(sweep.trace_source)
     specs = []
     index = 0

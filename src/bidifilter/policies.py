@@ -24,7 +24,11 @@ builds it for both filtered kinds at any depth: ``BiDiFilterUnited`` is
 the engine whose window takes all of L1 (``window_fraction=1``).  The
 ``BiDiFilter`` and ``BiDiFilterUnited`` classes are its two-level
 shorthands.  ``oracles.reference_filter_outcomes`` restates the scheme
-with python lists as the tests' reference.
+with python lists as the tests' reference.  ``CascadeFilter.handle``
+takes one request; a whole trace of key ids over a bound sketch
+replays in one loop (``CascadeFilter._replay``), and a hooked policy,
+one with a stand-in sketch or a ``decision_log``, request by request
+through ``handle``.
 
 Writes are accounted per level: an insert into a level coming from
 outside that level costs one write; recency updates within a level are
@@ -37,7 +41,8 @@ handling a request returns a table entry without allocating.
 
 Each space also tallies the writes into it (``insert_count``), so the
 accounting can be checked from outside.  ``CascadeFilter.handle``
-tallies the writes it makes on the spaces' OrderedDicts itself, and
+and its whole-trace loop tally the writes they make on the spaces'
+OrderedDicts themselves, and
 ``spaces.lru_cascade`` the baselines'; a fill through a space's
 ``insert`` tallies its own.
 
@@ -227,6 +232,13 @@ class CascadeFilter:
     assigned to it and to ``decision_log`` see each record, estimate
     and contest.
 
+    ``_replay`` runs a whole trace of key ids in one loop: ``handle``
+    with the sketch calls and the contest written into it, which is
+    what ``run_single`` replays the filtered kinds through.  A hooked
+    policy (a stand-in sketch or a ``decision_log``) replays through
+    ``handle`` instead, request by request, so its hooks see every
+    call.  ``handle`` is the reference the loop is held to.
+
     Outcomes are interned per engine: a miss writes a run of levels
     from L1 (or from L2, when the missed key itself walks down) to the
     last level written, and a hit at level i writes nothing, level i-1,
@@ -360,6 +372,173 @@ class CascadeFilter:
             space.insert_count += 1
             candidate, contested = victim, True
         return misses[self.n_levels]
+
+    def _replay(self, ids) -> Counter:
+        """The outcome histogram of ``map(self.handle, ids)``, over the
+        key ids of a bound sketch's keys, in one loop.
+
+        The loop is ``handle`` with the sketch's ``record`` and
+        ``estimate`` and ``_wins`` written into it, over the spaces, the
+        outcome tables and the sketch's table, slot rows and countdowns
+        held as locals; it halves at the request ``record`` would.  It
+        counts each outcome in a slot of one list, so it keeps nothing
+        per request.  It fills free room through ``insert`` and
+        refreshes a refused promotion through ``touch``, as ``handle``
+        does.  It leaves every space, ``insert_count`` and sketch
+        counter, countdown and ``increments_since_reset`` as ``handle``
+        would.  A stand-in
+        assigned to ``sketch``, a ``decision_log``, or a sketch that is
+        not a bound ``FrequencySketch`` sends the trace through
+        ``self.handle`` one request at a time, so every hook sees each
+        record, estimate and contest.
+        """
+        sketch = self._sketch
+        if (self.sketch is not sketch or self.decision_log is not None
+                or type(sketch) is not FrequencySketch or sketch._slot_rows is None):
+            return Counter(map(self.handle, ids))
+        rows, counter_cap = sketch._slot_rows, sketch._cap
+        tbl, left = sketch._table, sketch._left
+        sample_size, increments = sketch._sample_size, sketch.increments_since_reset
+        strict = self._strict
+        window, veterans = self.window, self.veterans
+        win, win_cap, vet, vet_cap = self._win_od, self._win_cap, self._vet_od, self._vet_cap
+        chain, below = self._chain, self._below
+        n_levels = self.n_levels
+        # each outcome is counted at its index in table, and the outcome
+        # tables become tables of those indexes, laid out as in table
+        table = (_HIT_WINDOW, _HIT_VETERANS, *self._misses_from_l1, *self._misses_from_l2,
+                 *(outcome for hits in self._deep_hits for outcome in hits))
+        width = n_levels + 1
+        misses_from_l1, misses_from_l2 = range(2, 2 + width), range(2 + width, 2 + 2 * width)
+        deep_hits = tuple(range(start, start + 3) for start in range(2 + 2 * width, len(table), 3))
+        counts = [0] * len(table)
+        for key in ids:
+            # record
+            n = left[key]
+            if n:
+                left[key] = n - 1
+                for row in rows:
+                    tbl[row[key]] += 1
+            increments += 1
+            if increments >= sample_size:
+                sketch.halve()
+                tbl, left, increments = sketch._table, sketch._left, 0
+            if key in win:
+                win.move_to_end(key)
+                counts[0] += 1
+                continue
+            if key in vet:
+                vet.move_to_end(key)
+                counts[1] += 1
+                continue
+            for level, space, prob, prot, _ in below:
+                if key in prob or key in prot:
+                    _, up, up_prob, up_prot, up_cap = chain[level - 2]
+                    touched, promoted, swapped = deep_hits[level - 2]
+                    if len(up_prob) + len(up_prot) < up_cap:
+                        del (prob if key in prob else prot)[key]
+                        up.insert(key)
+                        counts[promoted] += 1
+                        break
+                    evict = up_prob or up_prot
+                    for victim in evict:
+                        break
+                    # contest: the key's estimate against its victim's
+                    ce = ve = counter_cap
+                    if left[key]:
+                        for row in rows:
+                            c = tbl[row[key]]
+                            if c < ce:
+                                ce = c
+                    if left[victim]:
+                        for row in rows:
+                            c = tbl[row[victim]]
+                            if c < ve:
+                                ve = c
+                    if not (ce > ve if strict else ce >= ve):
+                        space.touch(key)
+                        counts[touched] += 1
+                        break
+                    del (prob if key in prob else prot)[key]
+                    del evict[victim]
+                    up_prob[key] = None
+                    up.insert_count += 1
+                    prob[victim] = None
+                    space.insert_count += 1
+                    counts[swapped] += 1
+                    break
+            else:
+                # a miss
+                if win_cap:
+                    if len(win) < win_cap:
+                        window.insert(key)
+                        counts[misses_from_l1[1]] += 1
+                        continue
+                    candidate = win.popitem(False)[0]
+                    win[key] = None
+                    window.insert_count += 1
+                    misses, contested = misses_from_l1, True
+                elif len(vet) < vet_cap:
+                    veterans.insert(key)
+                    counts[misses_from_l1[1]] += 1
+                    continue
+                else:
+                    for victim in vet:
+                        break
+                    ce = ve = counter_cap
+                    if left[key]:
+                        for row in rows:
+                            c = tbl[row[key]]
+                            if c < ce:
+                                ce = c
+                    if left[victim]:
+                        for row in rows:
+                            c = tbl[row[victim]]
+                            if c < ve:
+                                ve = c
+                    if ce > ve if strict else ce >= ve:
+                        del vet[victim]
+                        vet[key] = None
+                        veterans.insert_count += 1
+                        candidate, misses, contested = victim, misses_from_l1, False
+                    else:
+                        candidate, misses, contested = key, misses_from_l2, True
+                for level, space, prob, prot, room in below:
+                    if len(prob) + len(prot) < room:
+                        prob[candidate] = None
+                        space.insert_count += 1
+                        counts[misses[level]] += 1
+                        break
+                    evict = prob or prot
+                    for victim in evict:
+                        break
+                    if contested:
+                        ce = ve = counter_cap
+                        if left[candidate]:
+                            for row in rows:
+                                c = tbl[row[candidate]]
+                                if c < ce:
+                                    ce = c
+                        if left[victim]:
+                            for row in rows:
+                                c = tbl[row[victim]]
+                                if c < ve:
+                                    ve = c
+                        if not (ce > ve if strict else ce >= ve):
+                            counts[misses[level - 1]] += 1
+                            break
+                    del evict[victim]
+                    prob[candidate] = None
+                    space.insert_count += 1
+                    candidate, contested = victim, True
+                else:
+                    counts[misses[n_levels]] += 1
+        sketch.increments_since_reset = increments
+        hist = Counter()
+        for outcome, count in zip(table, counts):
+            if count:
+                hist[outcome] += count
+        return hist
 
     def _wins(self, candidate, victim) -> bool:
         ce = self.sketch.estimate(candidate)

@@ -15,10 +15,10 @@ Who writes each level, and tallies the write in ``insert_count``:
 
 * the unfiltered policies write every level through ``lru_cascade``,
   which tallies each write itself;
-* the filtered policy's ``handle`` evicts and writes on the spaces'
-  OrderedDicts and adds one to ``insert_count`` per write itself, but
-  fills free room left by a promotion, and free room in L1, through
-  ``insert``.
+* the filtered policy's ``handle``, and its whole-trace loop, evict and
+  write on the spaces' OrderedDicts and add one to ``insert_count`` per
+  write themselves, but fill free room left by a promotion, and free
+  room in L1, through ``insert``.
 
 So ``insert_count`` counts every write, and write accounting can be
 cross-checked from the outside.

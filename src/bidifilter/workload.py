@@ -66,9 +66,11 @@ class SyntheticSpec:
 
 
 def zipf_cumulative(ground_set: int, skew: float) -> np.ndarray:
-    """Cumulative (unnormalized) Zipf weights: entry r-1 is sum of k^-skew."""
-    ranks = np.arange(1, ground_set + 1, dtype=np.float64)
-    return np.cumsum(ranks ** -skew)
+    """Cumulative (unnormalized) Zipf weights: entry r-1 is sum of k^-skew.
+    Built in place in one array: the ranks, their weights, then the sums."""
+    table = np.arange(1, ground_set + 1, dtype=np.float64)
+    np.power(table, -skew, out=table)
+    return np.cumsum(table, out=table)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Iterator[int]:

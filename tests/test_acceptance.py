@@ -349,21 +349,44 @@ _THREE_LEVEL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("window_fraction, tie_break", list(_THREE_LEVEL_DIGESTS))
-def test_three_level_histogram_digest(three_level_trace, window_fraction, tie_break):
-    # the equality oracle at three levels: a ResultRow drops every L3 count,
-    # so the whole outcome histogram is pinned, each (outcome, count) sorted
-    trace, caps = three_level_trace
+def _three_level_stats(trace, caps, window_fraction, tie_break):
+    """One BiDiFilter's outcome histogram over ``trace``, replayed as
+    ``run_single`` replays it, in one whole-trace loop; and its digest,
+    each (outcome, count) sorted."""
     policy = make_policy(PolicySpec("BiDiFilter", caps, window_fraction=window_fraction,
                                     tie_break=tie_break))
     policy.bind_keys(trace.keys)
     stats = SimStats(3)
-    stats.add_all(map(policy.handle, trace.ids))
+    stats.add_all(policy._replay(trace.ids))
     stats.check()
-    assert stats.writes_at(3) and stats.hits_at(3)
     histogram = repr(sorted((tuple(outcome), n) for outcome, n in stats.counts.items()))
-    digest = hashlib.sha256(histogram.encode("utf-8")).hexdigest()
+    return stats, hashlib.sha256(histogram.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("window_fraction, tie_break", list(_THREE_LEVEL_DIGESTS))
+def test_three_level_histogram_digest(three_level_trace, window_fraction, tie_break):
+    # the equality oracle at three levels: a ResultRow drops every L3 count,
+    # so the whole outcome histogram is pinned
+    trace, caps = three_level_trace
+    stats, digest = _three_level_stats(trace, caps, window_fraction, tie_break)
+    assert stats.writes_at(3) and stats.hits_at(3)
     assert digest == _THREE_LEVEL_DIGESTS[window_fraction, tie_break]
+
+
+def test_three_level_histogram_digest_where_l3_evicts(three_level_trace):
+    # the fixture's L3 holds the whole footprint; at L2 a hundredth of it
+    # L3 fills and evicts.  A key leaves L3 by promotion (an L3 hit that
+    # writes L2) or by eviction, so the keys written there, less its
+    # capacity and those promoted, were evicted.  The digest was taken
+    # from a replay through handle, one request at a time
+    trace, _ = three_level_trace
+    caps = level_capacities_for(len(trace.keys), 0.01, 0.2, 3)
+    assert caps == (105, 527, 2635)
+    stats, digest = _three_level_stats(trace, caps, 0.5, "admit")
+    promoted = sum(n for outcome, n in stats.counts.items()
+                   if outcome.classification == hit_at_level(3) and outcome.writes)
+    assert stats.writes_at(3) - caps[2] - promoted > 0
+    assert digest == "18653ed69bf74d5e94d54b68a76a4727c0f772e651db29b440bf8813777cc66a"
 
 
 # --- 6: window-fraction crossover ---------------------------------------------

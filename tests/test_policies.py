@@ -1,7 +1,10 @@
+import collections
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidifilter import (
     HIT_L1_VETERANS,
@@ -27,6 +30,7 @@ from bidifilter import (
     make_policy,
     run_single,
 )
+from bidifilter import harness
 from bidifilter.oracles import (
     reference_chain_outcomes,
     reference_filter_outcomes,
@@ -567,6 +571,81 @@ def test_probe_hooks_see_every_record_and_contest():
                 assert run(pol, trace) == expected, case
                 assert probe.records == len(keys), case
                 assert log and probe.estimates == 2 * len(log), case
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_run_single_hooks_see_every_request(compiled, monkeypatch):
+    # a hooked policy, as a profiler builds one in place of make_policy's,
+    # replays request by request through run_single, over raw keys and a
+    # compiled trace alike, and gives the hook-free row
+    rnd = random.Random(19)
+    keys = [rnd.randint(0, 60) for _ in range(2000)]
+    trace = compile_trace(keys) if compiled else keys
+    spec = PolicySpec("BiDiFilter", (4, 16), tie_break="reject", rng_seed=5)
+    plain = run_single(spec, trace)
+    hooks = []
+
+    def hooked_policy(spec):
+        pol = make_policy(spec)
+        pol.sketch = probe = _CountingSketch(pol.sketch)
+        pol.decision_log = log = []
+        hooks.append((probe, log))
+        return pol
+
+    monkeypatch.setattr(harness, "make_policy", hooked_policy)
+    assert run_single(spec, trace) == plain
+    [(probe, log)] = hooks
+    assert probe.records == len(keys)
+    assert log and probe.estimates == 2 * len(log)
+
+
+def _final_state(pol):
+    """Every space's keys in order and insert count, and the sketch's
+    counters, countdowns and increments since its last halving."""
+    spaces = (pol.window, pol.veterans, *pol.mains)
+    sketch = pol.sketch
+    return ([list(sp.keys()) for sp in spaces], [sp.insert_count for sp in spaces],
+            sketch.counters.tolist(), sketch._left, sketch.increments_since_reset)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    caps=st.lists(st.integers(1, 8), min_size=2, max_size=4).map(tuple),
+    wf=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    tie=st.sampled_from(["admit", "reject"]),
+    seed=st.integers(0, 3),
+    sketch_cfg=st.none() | st.tuples(st.integers(5, 60), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_whole_trace_replay_equals_handle_property(caps, wf, tie, seed, sketch_cfg, data):
+    # _replay is handle written into one loop over a bound trace: on the
+    # whole trace and on a prefix it gives map(handle)'s histogram and
+    # leaves the policy and its sketch as handle does; a small sketch
+    # collides and halves mid-trace
+    span = 3 * sum(caps)
+    keys = data.draw(st.lists(st.integers(0, span), min_size=60, max_size=200), label="keys")
+    if data.draw(st.booleans(), label="str keys"):
+        keys = [f"k{k}" for k in keys]
+    cut = data.draw(st.integers(0, len(keys)), label="prefix")
+    trace = compile_trace(keys)
+
+    def bound_policy():
+        sketch = None
+        if sketch_cfg is not None:
+            sample_size, depth = sketch_cfg
+            cfg = SketchConfig(sample_size=sample_size, tracked_capacity=sum(caps),
+                               depth=depth)
+            sketch = FrequencySketch(cfg, seed=seed)
+        pol = CascadeFilter(caps, window_fraction=wf, tie_break=tie, rng_seed=seed,
+                            sketch=sketch)
+        pol.bind_keys(trace.keys)
+        return pol
+
+    for ids in (trace.ids, trace.ids[:cut]):
+        reference, fast = bound_policy(), bound_policy()
+        expected = collections.Counter(map(reference.handle, ids))
+        assert fast._replay(ids) == expected
+        assert _final_state(fast) == _final_state(reference)
 
 
 def test_admission_soundness_decision_log():

@@ -85,6 +85,11 @@ def test_zipf_cumulative_values():
     assert np.allclose(cum, [1.0, 1.5, 1.5 + 1 / 3])
     # skew 0 degenerates to uniform weights
     assert np.allclose(zipf_cumulative(4, 0.0), [1, 2, 3, 4])
+    # built in place, the table is bit for bit the plain formula's
+    for skew in (0.0, 0.5, 0.8, 1.0, 1.7):
+        ranks = np.arange(1, 100_001, dtype=np.float64)
+        plain = np.cumsum(ranks ** -skew)
+        assert zipf_cumulative(100_000, skew).tobytes() == plain.tobytes(), skew
 
 
 def test_stream_is_deterministic_and_seed_sensitive():
